@@ -525,6 +525,9 @@ def main(argv=None):
     except (ParseError, KeyError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:
+        print("error: expression nested too deeply", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

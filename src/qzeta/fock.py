@@ -339,13 +339,17 @@ class SurfaceTraceEngine:
         self.order = order
         self.ring = surface.ring
         self._memo = {}
+        self._geoms = {}
 
     # cached small series ------------------------------------------------
 
-    @lru_cache(maxsize=None)
     def _geom(self, n, shift):
         """q^shift / (1 - q^n), lifted to the surface coefficient ring."""
-        return lambert_term(shift, n, 1, order=self.order).lift(self.ring)
+        got = self._geoms.get((n, shift))
+        if got is None:
+            got = self._geoms[n, shift] = lambert_term(
+                shift, n, 1, order=self.order).lift(self.ring)
+        return got
 
     def _zero(self):
         return QSeries.zero(self.order, self.ring)
@@ -533,6 +537,122 @@ def _removal_series_rational(factors, order):
     return s
 
 
+def _mode_imbalance(parts):
+    """Pairs (n, # of n - # of -n) with n > 0 and a nonzero difference."""
+    imbalance = Counter()
+    for p in parts:
+        imbalance[abs(p)] += 1 if p > 0 else -1
+    return frozenset((n, k) for n, k in imbalance.items() if k)
+
+
+class _Contraction:
+    """One row of a removal table: what an expansion leaves after the vertex.
+
+    `series` sums coefficient * (-1)^(removed positives) * binomial * removal
+    weight over every term and removal option that leave `leftover` with the
+    removed balance `balance`; `qcost` is the least q-valuation among them.
+    """
+
+    __slots__ = ("leftover", "key", "balance", "qcost", "series", "imbalance")
+
+    def __init__(self, leftover, key, balance, qcost, series):
+        self.leftover = leftover
+        self.key = key
+        self.balance = balance
+        self.qcost = qcost
+        self.series = series
+        self.imbalance = _mode_imbalance(leftover.parts)
+
+
+def _removal_table(expansion, surface, order):
+    """Contract every term of one operator expansion into the vertex, once.
+
+    Rows are keyed by the leftover group (with its class twisted by
+    (1 - K)^(removed positives)) and the removed balance; rows whose summed
+    series cancels are dropped.
+    """
+    one_minus_k = surface.one_minus_K()
+    twists = {}
+    rows = {}
+    for coeff, op in expansion:
+        for qcost, balance, npos, _, cmb, factors, rem in _group_removals(op, order):
+            klass = op.klass
+            if npos:
+                twist_key = (klass.key(), npos)
+                klass = twists.get(twist_key)
+                if klass is None:
+                    klass = twists[twist_key] = (one_minus_k ** npos) * op.klass
+            leftover = DecoratedOp(rem, klass)
+            series = _removal_series_rational(factors, order).scale(
+                coeff * cmb * (-1) ** npos)
+            key = (leftover.key(), balance)
+            row = rows.get(key)
+            if row is None:
+                rows[key] = _Contraction(leftover, key[0], balance, qcost, series)
+            else:
+                row.qcost = min(row.qcost, qcost)
+                row.series = row.series + series
+    return [row for row in rows.values() if not row.series.is_zero()]
+
+
+def vertex_trace_sum(expansions, surface, order):
+    """Sum of c_1...c_k vertex_trace([op_1, ..., op_k]) over one term per expansion.
+
+    expansions: a list of operator expansions, each a list of
+    (coefficient, DecoratedOp).  Each expansion is contracted into the vertex
+    once (`_removal_table`); tuples of rows are walked with pruning by q-cost,
+    by removed balance, and by the leftover parts, which must pair every mode
+    n with a mode -n for the trace to be nonzero.  Each distinct leftover word
+    is traced once, and only nonzero traces are multiplied by the summed
+    removal weights.
+    """
+    engine = surface.engine(order)
+    if not expansions:
+        return engine.trace(())
+    *heads, tail = [_removal_table(e, surface, order) for e in expansions]
+    # the last row of a tuple is looked up by the balance and imbalance it cancels
+    tails = {}
+    for row in tail:
+        tails.setdefault((row.balance, row.imbalance), []).append(row)
+    traced = {}  # leftover word key -> [nonzero trace or None, summed weight]
+
+    def leaf(rows):
+        key = tuple(row.key for row in rows)
+        entry = traced.get(key)
+        if entry is None:
+            inner = engine.trace([row.leftover for row in rows])
+            entry = traced[key] = [None if inner.is_zero() else inner, None]
+        if entry[0] is None:
+            return
+        weight = rows[0].series
+        for row in rows[1:]:
+            weight = weight * row.series
+        entry[1] = weight if entry[1] is None else entry[1] + weight
+
+    def walk(i, qcost, balance, imbalance, rows):
+        if i == len(heads):
+            need = frozenset((n, -k) for n, k in imbalance.items() if k)
+            for row in tails.get((-balance, need), ()):
+                if qcost + row.qcost <= order:
+                    leaf(rows + (row,))
+            return
+        for row in heads[i]:
+            q = qcost + row.qcost
+            if q > order:
+                continue
+            sub = Counter(imbalance)
+            for n, k in row.imbalance:
+                sub[n] += k
+            walk(i + 1, q, balance + row.balance, sub, rows + (row,))
+
+    walk(0, 0, 0, Counter(), ())
+    acc = QSeries.zero(order, surface.ring)
+    for inner, weight in traced.values():
+        if inner is not None and not weight.is_zero():
+            acc = acc + weight.lift(surface.ring) * inner
+    return acc
+
+
 def vertex_trace(word, surface, order):
     """Reduced trace of the Ext vertex operator against a grouped-operator word.
 
@@ -546,53 +666,7 @@ def vertex_trace(word, surface, order):
     Groups here are generalized partitions: parts are read as multisets and
     leftovers are kept in canonical (sorted) order.
     """
-    word = tuple(word)
-    if sum(op.weight for op in word) != 0:
-        return QSeries.zero(order, surface.ring)
-    engine = surface.engine(order)
-    options = [list(_group_removals(op, order)) for op in word]
-    one_minus_k = surface.one_minus_K()
-    twist_cache = {}
-
-    def twisted(op, npos):
-        if npos == 0:
-            return op.klass
-        key = (op.klass.key(), npos)
-        got = twist_cache.get(key)
-        if got is None:
-            got = (one_minus_k ** npos) * op.klass
-            twist_cache[key] = got
-        return got
-
-    acc = QSeries.zero(order, surface.ring)
-
-    def walk(i, qcost, balance, chosen):
-        nonlocal acc
-        if qcost > order:
-            return
-        if i == len(word):
-            if balance != 0:
-                return
-            sign = 1
-            coeff = Fraction(1)
-            weight = QSeries.one(order)
-            inner_word = []
-            for op, (qc, bal, npos, ncount, cmb, factors, rem) in zip(word, chosen):
-                sign *= (-1) ** npos
-                coeff *= cmb
-                if factors:
-                    weight = weight * _removal_series_rational(factors, order)
-                inner_word.append(DecoratedOp(rem, twisted(op, npos)))
-            inner = engine.trace(inner_word)
-            if inner.is_zero():
-                return
-            acc = acc + (weight.lift(surface.ring) * inner).scale(coeff * sign)
-            return
-        for opt in options[i]:
-            walk(i + 1, qcost + opt[0], balance + opt[1], chosen + (opt,))
-
-    walk(0, 0, 0, ())
-    return acc
+    return vertex_trace_sum([[(1, op)] for op in word], surface, order)
 
 
 # -- Chern character operators (surface) ---------------------------------------
@@ -642,10 +716,13 @@ class EquivTraceEngine:
     def __init__(self, order):
         self.order = order
         self._memo = {}
+        self._geoms = {}
 
-    @lru_cache(maxsize=None)
     def _geom(self, n, shift):
-        return lambert_term(shift, n, 1, order=self.order)
+        got = self._geoms.get((n, shift))
+        if got is None:
+            got = self._geoms[n, shift] = lambert_term(shift, n, 1, order=self.order)
+        return got
 
     def trace(self, parts):
         parts = tuple(parts)

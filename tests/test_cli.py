@@ -238,6 +238,48 @@ class TestMainInProcess:
         assert "Z(6)\t14/3" in out
 
 
+class TestFailureModes:
+    def run_main(self, capsys, *argv):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        return code, captured.err
+
+    def test_verify_order_below_check_minimum_exit_2(self, capsys):
+        # at order -1 the check would compare no coefficient and pass
+        code, err = self.run_main(capsys, "verify", "--check", "str_gk_k1",
+                                  "--order", "-1")
+        assert code == 2
+        assert len(err.splitlines()) == 1 and "str_gk_k1" in err
+
+    def test_verify_order_0_is_a_usage_error(self, capsys):
+        code, err = self.run_main(capsys, "verify", "--check",
+                                  "h11_direct_vs_decomp", "--order", "0")
+        assert code == 2
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+    def test_deeply_nested_expression_exit_2(self, capsys):
+        text = "(" * 2000 + "1" + ")" * 2000
+        code, err = self.run_main(capsys, "expand", text)
+        assert code == 2
+        assert err == "error: expression nested too deeply\n"
+
+    def test_trace_requests_leave_no_engine_alive(self, capsys):
+        import gc
+        from qzeta.fock import SurfaceTraceEngine
+
+        def live_engines():
+            return [o for o in gc.get_objects() if isinstance(o, SurfaceTraceEngine)]
+
+        gc.collect()
+        before = live_engines()
+        for _ in range(20):
+            assert main(["trace", "a[-1,3](1X) * a[-3,1](1X)", "--order", "14"]) == 0
+        capsys.readouterr()
+        gc.collect()
+        new = [e for e in live_engines() if not any(e is b for b in before)]
+        assert new == []
+
+
 class TestSubprocess:
     def test_env_default_order(self):
         env = {**ENV, "QZETA_DEFAULT_ORDER": "4"}

@@ -5,7 +5,7 @@ import pytest
 
 from qzeta.ring import MPoly, QSeries
 from qzeta.zeta import eval_named, z_series
-from qzeta.fock import SurfaceModel
+from qzeta.fock import DecoratedOp, SurfaceModel, chern_op, vertex_trace
 from qzeta.pipeline import (CHECKS, FSeriesSpec, ch1ch1_reduced, equiv_ch1ch1,
                             f00_expected, f10_expected, f111_component_check,
                             f_series_reduced, h_component_closed_form,
@@ -91,6 +91,48 @@ class TestFSeries:
         assert slice_.agrees_with(z_series((2,), N).q_derivative())
 
 
+def explicit_term_sum(spec):
+    """Sum of c_1...c_k vertex_trace(word) over one term per Chern expansion."""
+    surface, order = spec.surface, spec.order
+    total = QSeries.zero(order, surface.ring)
+    words = [(F(1), [])]
+    for k, klass in spec.entries:
+        words = [(c * c2, word + [op]) for c, word in words
+                 for c2, op in chern_op(k, klass, surface, order)]
+    for c, word in words:
+        total = total + vertex_trace(word, surface, order).scale(c)
+    return total
+
+
+class TestContractionTables:
+    """The contracted F-series equals the per-word vertex traces, exactly."""
+
+    @pytest.mark.parametrize("K_trivial", [False, True])
+    def test_two_point_specs_match_explicit_sum(self, K_trivial):
+        order = 7
+        surf = SurfaceModel(K_trivial=K_trivial)
+        one, l1, l2 = surf.one(), surf.divisor("L1"), surf.divisor("L2")
+        for entries in (((1, one), (1, one)), ((1, one), (0, l1)),
+                        ((1, one), (0, l2)), ((0, l1), (0, l2))):
+            spec = FSeriesSpec(entries, surf, order)
+            assert f_series_reduced(spec) == explicit_term_sum(spec), entries
+
+    def test_three_entry_spec_matches_explicit_sum(self):
+        surf = SurfaceModel()
+        one, l1 = surf.one(), surf.divisor("L1")
+        spec = FSeriesSpec(((1, one), (0, l1), (1, surf.canonical())), surf, 5)
+        got = f_series_reduced(spec)
+        assert not got.is_zero()
+        assert got == explicit_term_sum(spec)
+
+    def test_word_of_nonzero_weight_traces_to_zero(self):
+        surf = SurfaceModel()
+        word = [DecoratedOp((-2, 1, 1), surf.one()),
+                DecoratedOp((-1, -1, 3), surf.divisor("L1"))]
+        got = vertex_trace(word, surf, 8)
+        assert got.is_zero() and got.order == 8
+
+
 class TestCh1Ch1:
     def test_symmetric_under_divisor_swap(self):
         surf = standard_surface()
@@ -173,6 +215,14 @@ class TestRegistry:
         results = run_checks(names, order=None)
         assert all(r.passed for r in results)
         assert [r.name for r in results] == names
+
+    def test_every_check_passes_at_its_lowest_order(self):
+        for name, (_, default_order, min_order) in CHECKS.items():
+            assert min_order <= default_order, name
+            r = run_checks([name], order=min_order)[0]
+            assert r.passed and r.order == min_order, name
+            with pytest.raises(ValueError, match=name):
+                run_checks([name], order=min_order - 1)
 
     def test_order_override(self):
         r = run_checks(["bk3_2_6"], order=12)[0]
