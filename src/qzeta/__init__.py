@@ -16,8 +16,8 @@ from .qmforms import (NotInSpan, QMBasis, QMDecomposition, decompose,
 from .fock import (CohClass, DecoratedOp, GenPartition, SurfaceModel,
                    chern_op, commutator, equiv_chern_op, equiv_trace,
                    fock_trace_bruteforce, gamma_commutation_check,
-                   gamma_trace, trace_product, vertex_trace,
-                   vertex_trace_sum)
+                   gamma_trace, gamma_trace_sum, trace_product,
+                   vertex_trace, vertex_trace_sum)
 from .pipeline import (CheckResult, FSeriesSpec, ch1ch1_reduced, equiv_ch1ch1,
                        f111_component_check, f_series_reduced, run_checks)
 
@@ -31,8 +31,8 @@ __all__ = [
     "qm_basis",
     "CohClass", "DecoratedOp", "GenPartition", "SurfaceModel", "chern_op",
     "commutator", "equiv_chern_op", "equiv_trace", "fock_trace_bruteforce",
-    "gamma_commutation_check", "gamma_trace", "trace_product", "vertex_trace",
-    "vertex_trace_sum",
+    "gamma_commutation_check", "gamma_trace", "gamma_trace_sum",
+    "trace_product", "vertex_trace", "vertex_trace_sum",
     "CheckResult", "FSeriesSpec", "ch1ch1_reduced", "equiv_ch1ch1",
     "f111_component_check", "f_series_reduced", "run_checks",
 ]

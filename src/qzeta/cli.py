@@ -458,9 +458,11 @@ def cmd_verify(args, out):
         out.write("\n")
     else:
         for r in results:
-            out.write(f"{'pass' if r.passed else 'FAIL'}\t{r.name}\t"
+            out.write(f"{r.tag}\t{r.name}\t"
                       f"order={r.order}"
                       + (f"\t{r.detail}" if r.detail else "") + "\n")
+    if any(r.error for r in results):
+        return 3
     return 0 if all(r.passed for r in results) else 1
 
 

@@ -13,7 +13,7 @@ so the empty word traces to 1.
 """
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
@@ -489,14 +489,17 @@ def trace_product(word, surface, order):
 # -- vertex-operator trace expansion ------------------------------------------
 
 
-def _group_removals(op, order):
-    """Sub-multiset removal options for one group.
+_Removal = namedtuple("_Removal",
+                      "qcost balance npos ncount comb factors remainder")
 
-    Yields (qcost, balance, removed_positive_count, comb_coeff, sign,
-    weight_factors, remainder_parts) where weight_factors is a tuple of
-    (n, p, p_tilde) mode removals.
+
+def _group_removals(parts, order):
+    """Sub-multiset removal options for one group of parts, as _Removal.
+
+    npos and ncount count the removed positive and all removed parts,
+    factors is a tuple of (n, (p, p_tilde)) mode removals.
     """
-    mults = sorted(Counter(op.parts).items())
+    mults = sorted(Counter(parts).items())
     ranges = [range(m + 1) for _, m in mults]
     for choice in iproduct(*ranges):
         qcost = 0
@@ -524,8 +527,8 @@ def _group_removals(op, order):
                 remainder.extend([part] * (m - k))
         if qcost > order:
             continue
-        yield (qcost, balance, npos, ncount, Fraction(coeff),
-               tuple(sorted(factors.items())), tuple(sorted(remainder)))
+        yield _Removal(qcost, balance, npos, ncount, Fraction(coeff),
+                       tuple(sorted(factors.items())), tuple(sorted(remainder)))
 
 
 @lru_cache(maxsize=None)
@@ -548,68 +551,53 @@ def _mode_imbalance(parts):
 class _Contraction:
     """One row of a removal table: what an expansion leaves after the vertex.
 
-    `series` sums coefficient * (-1)^(removed positives) * binomial * removal
-    weight over every term and removal option that leave `leftover` with the
-    removed balance `balance`; `qcost` is the least q-valuation among them.
+    `series` sums coefficient * factor * removal weight over every term and
+    removal option that leave `leftover` with the removed balance `balance`;
+    `qcost` is the least q-valuation among them.
     """
 
     __slots__ = ("leftover", "key", "balance", "qcost", "series", "imbalance")
 
-    def __init__(self, leftover, key, balance, qcost, series):
+    def __init__(self, leftover, key, parts, balance, qcost, series):
         self.leftover = leftover
         self.key = key
         self.balance = balance
         self.qcost = qcost
         self.series = series
-        self.imbalance = _mode_imbalance(leftover.parts)
+        self.imbalance = _mode_imbalance(parts)
 
 
-def _removal_table(expansion, surface, order):
-    """Contract every term of one operator expansion into the vertex, once.
+def _contract_trace(expansions, order, contract, trace_word, ring=None):
+    """The removal walker of both settings.
 
-    Rows are keyed by the leftover group (with its class twisted by
-    (1 - K)^(removed positives)) and the removed balance; rows whose summed
-    series cancels are dropped.
+    contract(expansion) yields (removal, leftover, leftover key, factor) for
+    every term and kept removal option of one expansion, and
+    trace_word(leftovers) traces a word of leftovers.  Each expansion is
+    contracted into the vertex once, into a table whose rows are keyed by the
+    leftover and the removed balance (rows whose summed series cancels are
+    dropped).  Tuples of rows are walked with pruning by q-cost, by removed
+    balance, and by the leftover parts, which must pair every mode n with a
+    mode -n for the trace to be nonzero.  Each distinct leftover word is
+    traced once, and only nonzero traces are multiplied by the summed removal
+    weights.
     """
-    one_minus_k = surface.one_minus_K()
-    twists = {}
-    rows = {}
-    for coeff, op in expansion:
-        for qcost, balance, npos, _, cmb, factors, rem in _group_removals(op, order):
-            klass = op.klass
-            if npos:
-                twist_key = (klass.key(), npos)
-                klass = twists.get(twist_key)
-                if klass is None:
-                    klass = twists[twist_key] = (one_minus_k ** npos) * op.klass
-            leftover = DecoratedOp(rem, klass)
-            series = _removal_series_rational(factors, order).scale(
-                coeff * cmb * (-1) ** npos)
-            key = (leftover.key(), balance)
+    if not expansions:
+        return trace_word(())
+    tables = []
+    for expansion in expansions:
+        rows = {}
+        for removal, leftover, leftover_key, factor in contract(expansion):
+            series = _removal_series_rational(removal.factors, order).scale(factor)
+            key = (leftover_key, removal.balance)
             row = rows.get(key)
             if row is None:
-                rows[key] = _Contraction(leftover, key[0], balance, qcost, series)
+                rows[key] = _Contraction(leftover, leftover_key, removal.remainder,
+                                         removal.balance, removal.qcost, series)
             else:
-                row.qcost = min(row.qcost, qcost)
+                row.qcost = min(row.qcost, removal.qcost)
                 row.series = row.series + series
-    return [row for row in rows.values() if not row.series.is_zero()]
-
-
-def vertex_trace_sum(expansions, surface, order):
-    """Sum of c_1...c_k vertex_trace([op_1, ..., op_k]) over one term per expansion.
-
-    expansions: a list of operator expansions, each a list of
-    (coefficient, DecoratedOp).  Each expansion is contracted into the vertex
-    once (`_removal_table`); tuples of rows are walked with pruning by q-cost,
-    by removed balance, and by the leftover parts, which must pair every mode
-    n with a mode -n for the trace to be nonzero.  Each distinct leftover word
-    is traced once, and only nonzero traces are multiplied by the summed
-    removal weights.
-    """
-    engine = surface.engine(order)
-    if not expansions:
-        return engine.trace(())
-    *heads, tail = [_removal_table(e, surface, order) for e in expansions]
+        tables.append([row for row in rows.values() if not row.series.is_zero()])
+    *heads, tail = tables
     # the last row of a tuple is looked up by the balance and imbalance it cancels
     tails = {}
     for row in tail:
@@ -620,7 +608,7 @@ def vertex_trace_sum(expansions, surface, order):
         key = tuple(row.key for row in rows)
         entry = traced.get(key)
         if entry is None:
-            inner = engine.trace([row.leftover for row in rows])
+            inner = trace_word([row.leftover for row in rows])
             entry = traced[key] = [None if inner.is_zero() else inner, None]
         if entry[0] is None:
             return
@@ -646,11 +634,37 @@ def vertex_trace_sum(expansions, surface, order):
             walk(i + 1, q, balance + row.balance, sub, rows + (row,))
 
     walk(0, 0, 0, Counter(), ())
-    acc = QSeries.zero(order, surface.ring)
+    del walk  # break the walk -> closure -> walk cycle: tables die on return
+    acc = QSeries.zero(order, ring)
     for inner, weight in traced.values():
         if inner is not None and not weight.is_zero():
-            acc = acc + weight.lift(surface.ring) * inner
+            acc = acc + weight.lift(ring) * inner
     return acc
+
+
+def vertex_trace_sum(expansions, surface, order):
+    """Sum of c_1...c_k vertex_trace([op_1, ..., op_k]) over one term per expansion.
+
+    expansions: a list of operator expansions, each a list of
+    (coefficient, DecoratedOp), walked by `_contract_trace`.
+    """
+    def contract(expansion):
+        one_minus_k = surface.one_minus_K()
+        twists = {}
+        for coeff, op in expansion:
+            for removal in _group_removals(op.parts, order):
+                klass, npos = op.klass, removal.npos
+                if npos:
+                    twist_key = (klass.key(), npos)
+                    klass = twists.get(twist_key)
+                    if klass is None:
+                        klass = twists[twist_key] = (one_minus_k ** npos) * op.klass
+                leftover = DecoratedOp(removal.remainder, klass)
+                yield (removal, leftover, leftover.key(),
+                       coeff * removal.comb * (-1) ** npos)
+
+    return _contract_trace(expansions, order, contract,
+                           surface.engine(order).trace, surface.ring)
 
 
 def vertex_trace(word, surface, order):
@@ -914,6 +928,27 @@ def equiv_chern_op(k, order):
 # -- Gamma-conjugated traces ----------------------------------------------------
 
 
+def gamma_trace_sum(m, expansions, order):
+    """Sum of c_1...c_k gamma_trace(m, (p_1, ..., p_k)) over one term per expansion.
+
+    expansions: a list of expansions, each a list of (coefficient, parts
+    tuple) as returned by `equiv_chern_op`, walked by `_contract_trace`.
+    """
+    engine = _equiv_engine(order)
+
+    def contract(expansion):
+        for coeff, parts in expansion:
+            for removal in _group_removals(parts, order):
+                if removal.ncount and not m:
+                    continue
+                yield (removal, removal.remainder, removal.remainder,
+                       coeff * removal.comb * (-1) ** (removal.ncount - removal.npos)
+                       * m ** removal.ncount)
+
+    return _contract_trace(expansions, order, contract,
+                           lambda leftovers: engine.trace(sum(leftovers, ())))
+
+
 def gamma_trace(m, word, order):
     """Reduced trace against the level-m pair of half vertex operators.
 
@@ -924,43 +959,7 @@ def gamma_trace(m, word, order):
     each removal carries a factor m, and the remainder traces are scalar.
     The result is divided by the empty-word value, so gamma_trace(m, ()) = 1.
     """
-    word = tuple(tuple(p) for p in word)
-    engine = _equiv_engine(order)
-    options = [list(_group_removals(DecoratedOp(parts, None), order))
-               for parts in word]
-    acc = QSeries.zero(order)
-
-    def walk(i, qcost, balance, chosen):
-        nonlocal acc
-        if qcost > order:
-            return
-        if i == len(word):
-            if balance != 0:
-                return
-            coeff = Fraction(1)
-            mpow = 0
-            weight = QSeries.one(order)
-            flat = []
-            for (qc, bal, npos, ncount, cmb, factors, rem) in chosen:
-                coeff *= cmb
-                mpow += ncount
-                nneg = ncount - npos
-                coeff *= (-1) ** nneg
-                if factors:
-                    weight = weight * _removal_series_rational(factors, order)
-                flat.extend(rem)
-            if m == 0 and mpow:
-                return
-            inner = engine.trace(tuple(flat))
-            if inner.is_zero():
-                return
-            acc = acc + (weight * inner).scale(coeff * Fraction(m) ** mpow)
-            return
-        for opt in options[i]:
-            walk(i + 1, qcost + opt[0], balance + opt[1], chosen + (opt,))
-
-    walk(0, 0, 0, ())
-    return acc
+    return gamma_trace_sum(m, [[(1, GenPartition(p).parts)] for p in word], order)
 
 
 # -- half vertex operator commutation, checked on the Fock basis ----------------

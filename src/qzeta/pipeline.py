@@ -9,30 +9,43 @@ truth and its detail string reports the deviation of the printed display.
 """
 from __future__ import annotations
 
+import logging
 from fractions import Fraction
-from functools import lru_cache
 
 from .ring import QSeries, euler_pow, lambert_term
 from .zeta import bracket, eisenstein, eval_named, z_series
 from .fock import (DecoratedOp, GenPartition, SurfaceModel, chern_op,
                    equiv_chern_coefficient, equiv_chern_op, equiv_trace,
-                   fock_trace_bruteforce, gamma_commutation_check, gamma_trace,
-                   trace_product, vertex_trace_sum,
+                   fock_trace_bruteforce, gamma_commutation_check,
+                   gamma_trace_sum, trace_product, vertex_trace_sum,
                    _zero_weight_partitions)
 
 
 class CheckResult:
-    """Outcome of one named verification."""
+    """Outcome of one named verification.
 
-    def __init__(self, name, passed, order, detail="", mismatch=None):
+    A check that raised instead of reaching a verdict has status "error".
+    """
+
+    def __init__(self, name, passed, order, detail="", mismatch=None, error=False):
         self.name = name
+        self.error = bool(error)
         self.passed = bool(passed)
         self.order = order
         self.detail = detail
         self.mismatch = mismatch  # (degree, got, expected) when failing
 
+    @property
+    def status(self):
+        return "error" if self.error else "pass" if self.passed else "fail"
+
+    @property
+    def tag(self):
+        """"pass", "FAIL" or "ERROR", for plain-text reports."""
+        return self.status if self.passed else self.status.upper()
+
     def to_json_dict(self):
-        out = {"name": self.name, "status": "pass" if self.passed else "fail",
+        out = {"name": self.name, "status": self.status,
                "order": self.order, "detail": self.detail}
         if self.mismatch is not None:
             d, got, want = self.mismatch
@@ -40,8 +53,7 @@ class CheckResult:
         return out
 
     def __repr__(self):
-        tag = "pass" if self.passed else "FAIL"
-        return f"[{tag}] {self.name} (order {self.order}){': ' + self.detail if self.detail else ''}"
+        return f"[{self.tag}] {self.name} (order {self.order}){': ' + self.detail if self.detail else ''}"
 
 
 def _series_check(name, order, got, want, detail=""):
@@ -54,7 +66,6 @@ def _series_check(name, order, got, want, detail=""):
 # -- surfaces and F-series ------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def standard_surface(K_trivial=False, chi=None):
     return SurfaceModel(chi=chi, K_trivial=K_trivial)
 
@@ -108,13 +119,7 @@ def ch1ch1_reduced(surface, order):
 def equiv_ch1ch1(m, order):
     """Equivariant reduced two-point series at vertex level m."""
     ops = equiv_chern_op(1, order)
-    acc = QSeries.zero(order)
-    for c1, p1 in ops:
-        for c2, p2 in ops:
-            t = gamma_trace(m, (p1, p2), order)
-            if not t.is_zero():
-                acc = acc + t.scale(c1 * c2)
-    return acc
+    return gamma_trace_sum(m, [ops, ops], order)
 
 
 # -- expected right-hand sides ---------------------------------------------------
@@ -232,7 +237,6 @@ def check_bracket_defs(order=40):
 
 
 def check_okounkov_defs(order=40):
-    cases = []
     z2want = QSeries.zero(order)
     z3want = QSeries.zero(order)
     z4want = QSeries.zero(order)
@@ -450,12 +454,7 @@ def check_str_gk_k1(order=8):
 def check_equiv_kodd_vanishing(order=20):
     ops = equiv_chern_op(1, order)
     for m in (0, 1, 2):
-        acc = QSeries.zero(order)
-        for c, parts in ops:
-            t = gamma_trace(m, (parts,), order)
-            if not t.is_zero():
-                acc = acc + t.scale(c)
-        if not acc.is_zero():
+        if not gamma_trace_sum(m, [ops], order).is_zero():
             return CheckResult("equiv_kodd_vanishing", False, order, f"m={m}")
     return CheckResult("equiv_kodd_vanishing", True, order,
                        "single odd-index operator traces vanish, m in {0,1,2}")
@@ -621,7 +620,9 @@ CHECKS = {
 def run_checks(names="all", order=None):
     """Run registry checks by name; order overrides each check's default.
 
-    An order below a selected check's lowest order raises ValueError.
+    An order below a selected check's lowest order raises ValueError.  A check
+    that raises becomes a result with status "error" (its traceback is logged)
+    and the remaining checks still run.
     """
     if names == "all" or names == ["all"]:
         selected = list(CHECKS)
@@ -639,5 +640,11 @@ def run_checks(names="all", order=None):
     results = []
     for name in selected:
         fn, default_order, _ = CHECKS[name]
-        results.append(fn(order if order is not None else default_order))
+        check_order = order if order is not None else default_order
+        try:
+            results.append(fn(check_order))
+        except Exception as exc:
+            logging.getLogger(__name__).exception("check %s raised", name)
+            detail = " ".join(f"{type(exc).__name__}: {exc}".split())
+            results.append(CheckResult(name, False, check_order, detail, error=True))
     return results

@@ -272,10 +272,10 @@ class QSeries:
             raise ValueError("mismatched coefficient rings")
 
     def lift(self, ring):
-        """Embed a rational-coefficient series into an MPoly coefficient ring."""
+        """Embed a rational-coefficient series into an MPoly ring (or its own)."""
+        if self.ring == ring:
+            return self
         if self.ring is not None:
-            if self.ring == ring:
-                return self
             raise ValueError("can only lift rational-coefficient series")
         return QSeries([ring.const(c) for c in self.coeffs], order=self.order, ring=ring)
 
@@ -473,7 +473,10 @@ def lambert_term(numer_shift, denom_form, power, scale=ONE, order=30, ring=None)
     while a + j * m <= order:
         coeffs[a + j * m] = comb(j + p - 1, p - 1)
         j += 1
-    return QSeries(coeffs, order=order, ring=ring).scale(scale)
+    series = QSeries(coeffs, order=order, ring=ring)
+    if isinstance(scale, (int, Fraction)) and scale == 1:
+        return series
+    return series.scale(scale)
 
 
 def euler_pow(c, order):

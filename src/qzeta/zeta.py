@@ -192,10 +192,6 @@ class LinearForm:
     def __call__(self, values):
         return sum(c * v for c, v in zip(self.coeffs, values) if c) + self.const
 
-    def partial(self, values, upto):
-        """Value of the fixed part, indices < upto."""
-        return sum(self.coeffs[i] * values[i] for i in range(upto) if self.coeffs[i]) + self.const
-
     def support(self):
         return [i for i, c in enumerate(self.coeffs) if c]
 
@@ -521,15 +517,6 @@ def builtin_sums():
     poly_ipj4 = IndexPoly([(1, (1, 0, 0, 0)), (1, (0, 1, 0, 0))])
     poly_ipj3 = IndexPoly([(1, (1, 0, 0)), (1, (0, 1, 0))])
     poly_k3 = IndexPoly([(1, (0, 0, 1))])
-
-    def quad(numshift):
-        return SumTerm([
-            SumFactor(_lf([1, 1, 0, 0], numshift), _lf([1, 1, 0, 0]), poly=poly_ipj4),
-            SumFactor(_lf([0, 0, 0, 0]), _lf([1, 0, 0, 0])),
-            SumFactor(_lf([0, 0, 0, 0]), _lf([0, 1, 0, 0])),
-            SumFactor(_lf([0, 0, 0, 0]), _lf([0, 0, 1, 0])),
-            SumFactor(_lf([0, 0, 0, 0]), _lf([0, 0, 0, 1])),
-        ], scale=Fraction(1, 4))
 
     h4_terms = [
         NestedSumSpec(4, ("equal_sum", (0, 1), (2, 3)), [

@@ -279,6 +279,23 @@ class TestFailureModes:
         new = [e for e in live_engines() if not any(e is b for b in before)]
         assert new == []
 
+    def test_crashing_check_is_an_error_and_the_run_goes_on(self, capsys,
+                                                            monkeypatch):
+        from qzeta.pipeline import CHECKS
+
+        def crash(order):
+            raise ValueError("boom\nsecond line")
+
+        monkeypatch.setitem(CHECKS, "dz3", (crash, 40, 1))
+        code = main(["verify", "--check", "dz3,bk3_2_6", "--order", "10",
+                     "--json"])
+        out = capsys.readouterr().out
+        assert code == 3
+        data = json.loads(out)
+        assert [d["status"] for d in data] == ["error", "pass"]
+        assert data[0]["detail"] == "ValueError: boom second line"
+        assert data[0]["order"] == 10
+
 
 class TestSubprocess:
     def test_env_default_order(self):

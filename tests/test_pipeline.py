@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from qzeta.ring import MPoly, QSeries
+from qzeta.ring import MPoly, QSeries, euler_pow
 from qzeta.zeta import eval_named, z_series
-from qzeta.fock import DecoratedOp, SurfaceModel, chern_op, vertex_trace
+from qzeta.fock import (DecoratedOp, SurfaceModel, chern_op, equiv_chern_op,
+                        gamma_trace, gamma_trace_sum, vertex_trace)
 from qzeta.pipeline import (CHECKS, FSeriesSpec, ch1ch1_reduced, equiv_ch1ch1,
                             f00_expected, f10_expected, f111_component_check,
                             f_series_reduced, h_component_closed_form,
@@ -196,6 +197,37 @@ class TestEquivPipeline:
         assert h4.agrees_with(eval_named("h11_4", N))
 
 
+class TestGammaWalker:
+    """The removal walker in the equivariant setting, against explicit sums."""
+
+    def test_equiv_ch1ch1_matches_brute_force_oracle(self):
+        from tests.test_fock import brute_gamma_trace
+        N = 6
+        ops = equiv_chern_op(1, N)
+        for m in range(4):
+            want = QSeries.zero(N)
+            for c1, p1 in ops:
+                for c2, p2 in ops:
+                    want = want + brute_gamma_trace(m, (p1, p2), N).scale(c1 * c2)
+            want = want * euler_pow(1 - m * m, N)
+            assert equiv_ch1ch1(m, N) == want, m
+
+    def test_three_entry_sum_matches_explicit_gamma_traces(self):
+        N = 5
+        expansions = [equiv_chern_op(1, N), equiv_chern_op(0, N),
+                      equiv_chern_op(1, N)]
+        for m in (0, 3):  # the sum vanishes at m = 1 and m = 2
+            want = QSeries.zero(N)
+            for c1, p1 in expansions[0]:
+                for c2, p2 in expansions[1]:
+                    for c3, p3 in expansions[2]:
+                        want = want + gamma_trace(m, (p1, p2, p3), N).scale(
+                            c1 * c2 * c3)
+            got = gamma_trace_sum(m, expansions, N)
+            assert not got.is_zero()
+            assert got == want, m
+
+
 class TestRegistry:
     def test_all_names_present(self):
         assert set(CHECKS) == {
@@ -242,3 +274,19 @@ class TestRegistry:
         r = run_checks(["qiqj"], order=15)[0]
         d = r.to_json_dict()
         assert d["name"] == "qiqj" and d["status"] == "pass" and d["order"] == 15
+
+    def test_checks_leave_no_engine_alive(self):
+        # a long-lived process that sweeps orders must not keep every
+        # surface, its F-series cache and its engines
+        import gc
+        from qzeta.fock import SurfaceTraceEngine
+
+        def live_engines():
+            gc.collect()
+            return sum(isinstance(o, SurfaceTraceEngine) for o in gc.get_objects())
+
+        before = live_engines()
+        for order in range(4, 8):
+            results = run_checks(["lemma_f00", "theorem_K_trivial"], order=order)
+            assert all(r.passed for r in results), results
+        assert live_engines() <= before

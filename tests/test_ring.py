@@ -87,6 +87,17 @@ class TestLambert:
         got = lambert_term(0, 2, 1, order=5)
         assert got.coeffs == (F(1), F(0), F(1), F(0), F(1), F(0))
 
+    def test_default_scale_is_unit_scale(self):
+        ring = MPolyRing(["x"])
+        for r in (None, ring):
+            default = lambert_term(2, 3, 2, order=9, ring=r)
+            assert default.ring == r
+            for one in (1, F(1)):
+                assert default == lambert_term(2, 3, 2, scale=one, order=9, ring=r)
+        # a non-unit scale still multiplies every coefficient
+        assert lambert_term(1, 1, 1, scale=F(3, 2), order=4).coeffs == \
+            (F(0), F(3, 2), F(3, 2), F(3, 2), F(3, 2))
+
     def test_preconditions(self):
         with pytest.raises(ValueError):
             lambert_term(0, 0, 1, order=3)
