@@ -22,6 +22,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .ring import QSeries, euler_pow, series_to_json
 from .zeta import bracket, eisenstein, eval_named, z_series
@@ -362,10 +363,14 @@ def _poly_text(p):
     return repr(p)
 
 
+def _emit_json(data, out):
+    # json.dumps, unlike json.dump, runs the C encoder; the bytes are the same
+    out.write(json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n")
+
+
 def _emit_series(s, as_json, out):
     if as_json:
-        json.dump(series_to_json(s), out, sort_keys=True, separators=(",", ":"))
-        out.write("\n")
+        _emit_json(series_to_json(s), out)
         return
     for n, c in enumerate(s.coeffs):
         text = _poly_text(c) if s.ring is not None else str(c)
@@ -416,22 +421,18 @@ def cmd_decompose(args, out):
     names = [monomial_name(m) for m in basis.monomials]
     if isinstance(result, NotInSpan):
         if args.json:
-            json.dump({"basis": names, "coeffs": None,
-                       "not_in_span_at_degree": result.first_failing_degree,
-                       "verified_to": args.order},
-                      out, sort_keys=True, separators=(",", ":"))
-            out.write("\n")
+            _emit_json({"basis": names, "coeffs": None,
+                        "not_in_span_at_degree": result.first_failing_degree,
+                        "verified_to": args.order}, out)
         else:
             out.write(f"not in span: weight <= {args.weight}, first failing "
                       f"degree {result.first_failing_degree}\n")
         return 0
     coeffs = [result.coeffs.get(m, Fraction(0)) for m in basis.monomials]
     if args.json:
-        json.dump({"basis": names,
-                   "coeffs": [[str(c.numerator), str(c.denominator)] for c in coeffs],
-                   "verified_to": args.order},
-                  out, sort_keys=True, separators=(",", ":"))
-        out.write("\n")
+        _emit_json({"basis": names,
+                    "coeffs": [[str(c.numerator), str(c.denominator)] for c in coeffs],
+                    "verified_to": args.order}, out)
     else:
         for name, c in zip(names, coeffs):
             if c:
@@ -453,9 +454,7 @@ def cmd_verify(args, out):
     names = "all" if args.check in (None, "all") else args.check.split(",")
     results = run_checks(names, order=args.order)
     if args.json:
-        json.dump([r.to_json_dict() for r in results], out,
-                  sort_keys=True, separators=(",", ":"))
-        out.write("\n")
+        _emit_json([r.to_json_dict() for r in results], out)
     else:
         for r in results:
             out.write(f"{r.tag}\t{r.name}\t"
@@ -512,8 +511,14 @@ def build_arg_parser():
     return top
 
 
+@lru_cache(maxsize=None)
+def _arg_parser():
+    """The argument parser, built once per process and reused by every call."""
+    return build_arg_parser()
+
+
 def main(argv=None):
-    top = build_arg_parser()
+    top = _arg_parser()
     try:
         args = top.parse_args(argv)
     except SystemExit as exc:

@@ -778,7 +778,10 @@ def _equiv_engine(order):
 
 def equiv_trace(parts, order):
     """Reduced Tr q^n of a product of scalar Heisenberg operators."""
-    return _equiv_engine(order).trace(tuple(parts))
+    parts = tuple(parts)
+    if any(p == 0 for p in parts):
+        raise ValueError("parts must be nonzero integers")
+    return _equiv_engine(order).trace(parts)
 
 
 @lru_cache(maxsize=None)
@@ -833,33 +836,9 @@ def fock_trace_bruteforce(parts, order):
 # -- equivariant Chern character operators -------------------------------------
 
 
-def _zseries_mul(a, b, order):
-    out = [ZERO] * (order + 1)
-    for i, x in enumerate(a):
-        if x:
-            for j in range(order + 1 - i):
-                if b[j]:
-                    out[i + j] += x * b[j]
-    return out
-
-
-def _zseries_inv(a, order):
-    if a[0] == 0:
-        raise ZeroDivisionError("unit constant term required")
-    inv0 = 1 / a[0]
-    out = [inv0] + [ZERO] * order
-    for n in range(1, order + 1):
-        s = ZERO
-        for k in range(1, n + 1):
-            if a[k]:
-                s += a[k] * out[n - k]
-        out[n] = -s * inv0
-    return out
-
-
 def _g_series(n, order):
     """(e^(n z) - 1)/(n z) expanded to the given z-order."""
-    return [Fraction(n ** j, factorial(j + 1)) for j in range(order + 1)]
+    return QSeries([Fraction(n ** j, factorial(j + 1)) for j in range(order + 1)])
 
 
 @lru_cache(maxsize=None)
@@ -876,12 +855,12 @@ def equiv_chern_coefficient(parts, k):
     d = k - len(parts) + 2
     if d < 0:
         return ZERO
-    num = [ONE] + [ZERO] * d
+    num = QSeries.one(d)
     for p in parts:
         # creation part -n contributes g(nz), annihilation part n gives g(-nz)
-        num = _zseries_mul(num, _g_series(-p, d), d)
-    den = _zseries_mul(_g_series(1, d), _g_series(-1, d), d)
-    return _zseries_mul(num, _zseries_inv(den, d), d)[d]
+        num = num * _g_series(-p, d)
+    den = _g_series(1, d) * _g_series(-1, d)
+    return (num * den.inverse()).coeffs[d]
 
 
 def _zero_weight_partitions(max_length, bound):

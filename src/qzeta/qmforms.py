@@ -212,11 +212,5 @@ def decompose_mpoly(f, weight, order=None):
         raise ValueError("decompose_mpoly expects a polynomial-coefficient series")
     if order is None:
         order = f.order
-    monomials = set()
-    for c in f.coeffs:
-        monomials.update(c.terms)
-    out = {}
-    for exps in sorted(monomials):
-        sliced = QSeries([c.terms.get(exps, ZERO) for c in f.coeffs], order=f.order)
-        out[exps] = decompose(sliced, weight, order)
-    return out
+    return {exps: decompose(sliced, weight, order)
+            for exps, sliced in f.by_monomial().items()}

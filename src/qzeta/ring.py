@@ -6,7 +6,8 @@ function, so everything here is safe to share across threads.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
+from operator import add
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -215,15 +216,129 @@ class MPoly:
         return " + ".join(bits).replace("+ -", "- ")
 
 
+# -- integer slices ---------------------------------------------------------
+#
+# A series is stored as slices: a map from symbol exponent vector to integer
+# numerators over one positive denominator, (nums, den), meaning the series
+# sum_n nums[n]/den q^n times that monomial.  A rational series is the single
+# slice at the empty exponent vector ().  A stored slice is canonical: some
+# numerator is nonzero and gcd(nums..., den) == 1; zero slices are dropped.
+# Numerator lists are shared between series and never mutated.
+
+
+def _canon(nums, den):
+    """The canonical form of the slice nums/den, or None if it is zero."""
+    g = gcd(*nums)
+    if not g:
+        return None
+    if den != 1:
+        g = gcd(g, den)
+        if g != 1:
+            return [x // g for x in nums], den // g
+    return nums, den
+
+
+def _add_into(acc, exps, nums, den):
+    """acc[exps] += nums/den, over the lcm of the denominators, unreduced.
+
+    zip truncates to the shorter list, so a sum takes the lower order.
+    """
+    got = acc.get(exps)
+    if got is None:
+        acc[exps] = (nums, den)
+        return
+    a, d = got
+    if d == den:
+        acc[exps] = ([x + y for x, y in zip(a, nums)], d)
+    else:
+        lcm = d // gcd(d, den) * den
+        fa, fb = lcm // d, lcm // den
+        acc[exps] = ([x * fa + y * fb for x, y in zip(a, nums)], lcm)
+
+
+def _finish(acc):
+    """Canonical slices of an accumulator, zero slices dropped."""
+    out = {}
+    for exps, (nums, den) in acc.items():
+        s = _canon(nums, den)
+        if s is not None:
+            out[exps] = s
+    return out
+
+
+def _conv(a, b, n):
+    """The integer convolution of two numerator lists, truncated at degree n."""
+    out = [0] * (n + 1)
+    bs = [(j, y) for j, y in enumerate(b[: n + 1]) if y]
+    for i, x in enumerate(a[: n + 1]):
+        if x:
+            room = n - i
+            for j, y in bs:
+                if j > room:
+                    break
+                out[i + j] += x * y
+    return out
+
+
+def _inverse(nums, den, n):
+    """The canonical slice den/F to degree n, F the integer series nums, F_0 != 0.
+
+    Integer long division: with c = F_0, the integers G_k = c^(k+1) [q^k] 1/F
+    satisfy G_0 = 1 and G_k = -sum_{j=1..k} F_j G_(k-j) c^(j-1).
+    """
+    c = nums[0]
+    fs = [(j, x) for j, x in enumerate(nums[1: n + 1], 1) if x]
+    powers = [1]
+    for _ in range(n):
+        powers.append(powers[-1] * c)
+    g = [1] + [0] * n
+    for k in range(1, n + 1):
+        s = 0
+        for j, x in fs:
+            if j > k:
+                break
+            s += x * g[k - j] * powers[j - 1]
+        g[k] = -s
+    top = powers[n] * c
+    sign = -1 if top < 0 else 1
+    return _canon([sign * den * g[k] * powers[n - k] for k in range(n + 1)], sign * top)
+
+
+def _zero_exps(ring):
+    return () if ring is None else ring._zero_exps
+
+
+def _series(order, ring, slices):
+    """A series from canonical slices; the kernel's constructor, no coercion."""
+    s = object.__new__(QSeries)
+    s.order = order
+    s.ring = ring
+    s._slices = slices
+    s._coeffs = None
+    return s
+
+
+def _product(a, b):
+    """a * b: one convolution per pair of slices."""
+    n = min(a.order, b.order)
+    acc = {}
+    for e1, (x, dx) in a._slices.items():
+        for e2, (y, dy) in b._slices.items():
+            _add_into(acc, tuple(map(add, e1, e2)), _conv(x, y, n), dx * dy)
+    return _series(n, a.ring, _finish(acc))
+
+
 class QSeries:
     """Truncated formal power series in q.
 
     Coefficients live in an exact commutative ring: Fraction (ring is None)
     or an MPolyRing.  Arithmetic between series of different orders truncates
-    to the minimum order.
+    to the minimum order.  The series is stored as integer slices (see above);
+    `coeffs` is a tuple of Fraction or MPoly coefficients, built on first
+    read.
     """
 
-    __slots__ = ("order", "coeffs", "ring")
+    __slots__ = ("order", "ring", "_slices", "_coeffs")
 
     def __init__(self, coeffs, order=None, ring=None):
         coeffs = list(coeffs)
@@ -231,41 +346,77 @@ class QSeries:
             order = len(coeffs) - 1
         if order < 0:
             raise ValueError("order must be nonnegative")
-        zero = ring.zero if ring is not None else ZERO
-        coeffs = coeffs[: order + 1]
-        coeffs += [zero] * (order + 1 - len(coeffs))
-        if ring is None:
-            coeffs = [as_fraction(c) for c in coeffs]
-        else:
-            coeffs = [ring.coerce(c) for c in coeffs]
+        by_exps = {}  # exponent vector -> {degree: Fraction}
+        for n, c in enumerate(coeffs[: order + 1]):
+            if ring is None:
+                c = as_fraction(c)
+                if c:
+                    by_exps.setdefault((), {})[n] = c
+            else:
+                for exps, v in ring.coerce(c).terms.items():
+                    by_exps.setdefault(exps, {})[n] = v
+        slices = {}
+        for exps, entries in by_exps.items():
+            den = 1
+            for v in entries.values():
+                den = den // gcd(den, v.denominator) * v.denominator
+            nums = [0] * (order + 1)
+            for n, v in entries.items():
+                nums[n] = v.numerator * (den // v.denominator)
+            slices[exps] = (nums, den)
         self.order = order
-        self.coeffs = tuple(coeffs)
         self.ring = ring
+        self._slices = slices
+        self._coeffs = None
+
+    @property
+    def coeffs(self):
+        """The coefficients q^0..q^order, as Fraction or MPoly."""
+        if self._coeffs is None:
+            n = self.order + 1
+            if self.ring is None:
+                s = self._slices.get(())
+                view = (ZERO,) * n if s is None else tuple(Fraction(x, s[1]) for x in s[0])
+            else:
+                terms = [{} for _ in range(n)]
+                for exps, (nums, den) in self._slices.items():
+                    for k, x in enumerate(nums):
+                        if x:
+                            terms[k][exps] = Fraction(x, den)
+                view = tuple(MPoly(self.ring, t) for t in terms)
+            self._coeffs = view
+        return self._coeffs
+
+    def by_monomial(self):
+        """{exponent vector: rational QSeries} of the nonzero slices, sorted by key."""
+        return {exps: _series(self.order, None, {(): s})
+                for exps, s in sorted(self._slices.items())}
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def zero(order, ring=None):
-        return QSeries([], order=order, ring=ring)
+        if order < 0:
+            raise ValueError("order must be nonnegative")
+        return _series(order, ring, {})
 
     @staticmethod
     def one(order, ring=None):
-        unit = ring.one if ring is not None else ONE
-        return QSeries([unit], order=order, ring=ring)
+        if order < 0:
+            raise ValueError("order must be nonnegative")
+        return _series(order, ring, {_zero_exps(ring): ([1] + [0] * order, 1)})
 
     @staticmethod
     def monomial(exponent, order, scale=ONE, ring=None):
         if exponent < 0:
             raise ValueError("negative q-exponent")
-        coeffs = [ZERO if ring is None else ring.zero] * (order + 1)
-        if exponent <= order:
-            coeffs[exponent] = scale if ring is None else ring.coerce(scale)
-        return QSeries(coeffs, order=order, ring=ring)
+        if exponent > order:
+            return QSeries.zero(order, ring)
+        nums = [0] * (order + 1)
+        nums[exponent] = 1
+        return _series(order, ring, {_zero_exps(ring): (nums, 1)}).scale(scale)
 
     # -- ring plumbing -------------------------------------------------
-
-    def _zero_coeff(self):
-        return self.ring.zero if self.ring is not None else ZERO
 
     def _check_ring(self, other):
         if self.ring != other.ring:
@@ -277,12 +428,16 @@ class QSeries:
             return self
         if self.ring is not None:
             raise ValueError("can only lift rational-coefficient series")
-        return QSeries([ring.const(c) for c in self.coeffs], order=self.order, ring=ring)
+        s = self._slices.get(())
+        return _series(self.order, ring, {} if s is None else {ring._zero_exps: s})
 
     def truncate(self, order):
         if order >= self.order:
             return self
-        return QSeries(self.coeffs[: order + 1], order=order, ring=self.ring)
+        if order < 0:
+            raise ValueError("order must be nonnegative")
+        return _series(order, self.ring, _finish(
+            {exps: (nums[: order + 1], den) for exps, (nums, den) in self._slices.items()}))
 
     def coefficient(self, n):
         if n > self.order:
@@ -290,27 +445,28 @@ class QSeries:
         return self.coeffs[n]
 
     def is_zero(self):
-        if self.ring is None:
-            return all(c == 0 for c in self.coeffs)
-        return all(c.is_zero() for c in self.coeffs)
+        return not self._slices
 
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)) or isinstance(other, MPoly):
+        if isinstance(other, (int, Fraction, MPoly)):
             other = QSeries([other], order=self.order, ring=self.ring)
         self._check_ring(other)
-        n = min(self.order, other.order)
-        return QSeries([a + b for a, b in zip(self.coeffs, other.coeffs)],
-                       order=n, ring=self.ring)
+        n = min(self.order, other.order) + 1
+        acc = {exps: (nums[:n], den) for exps, (nums, den) in self._slices.items()}
+        for exps, (nums, den) in other._slices.items():
+            _add_into(acc, exps, nums[:n], den)
+        return _series(n - 1, self.ring, _finish(acc))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QSeries([-c for c in self.coeffs], order=self.order, ring=self.ring)
+        return _series(self.order, self.ring, {
+            exps: ([-x for x in nums], den) for exps, (nums, den) in self._slices.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)) or isinstance(other, MPoly):
+        if isinstance(other, (int, Fraction, MPoly)):
             other = QSeries([other], order=self.order, ring=self.ring)
         return self + (-other)
 
@@ -321,34 +477,23 @@ class QSeries:
         """Multiply every coefficient by a ring scalar."""
         if self.ring is None:
             c = as_fraction(c)
+            terms = {(): c} if c else {}
         else:
-            c = self.ring.coerce(c)
-        return QSeries([a * c for a in self.coeffs], order=self.order, ring=self.ring)
+            terms = self.ring.coerce(c).terms
+        if len(terms) == 1 and terms.get(_zero_exps(self.ring)) == 1:
+            return self
+        acc = {}
+        for e1, v in terms.items():
+            p, q = v.numerator, v.denominator
+            for e2, (nums, den) in self._slices.items():
+                _add_into(acc, tuple(map(add, e1, e2)), [x * p for x in nums], den * q)
+        return _series(self.order, self.ring, _finish(acc))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, MPoly)):
             return self.scale(other)
         self._check_ring(other)
-        n = min(self.order, other.order)
-        zero = self._zero_coeff()
-        out = [zero] * (n + 1)
-        if self.ring is None:
-            for i, a in enumerate(self.coeffs[: n + 1]):
-                if not a:
-                    continue
-                for j in range(n + 1 - i):
-                    b = other.coeffs[j]
-                    if b:
-                        out[i + j] += a * b
-        else:
-            for i, a in enumerate(self.coeffs[: n + 1]):
-                if a.is_zero():
-                    continue
-                for j in range(n + 1 - i):
-                    b = other.coeffs[j]
-                    if not b.is_zero():
-                        out[i + j] = out[i + j] + a * b
-        return QSeries(out, order=n, ring=self.ring)
+        return _product(self, other)
 
     __rmul__ = __mul__
 
@@ -359,39 +504,31 @@ class QSeries:
         base = self
         while n:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = _product(result, base)
             n >>= 1
+            if n:
+                base = _product(base, base)
         return result
 
     def inverse(self):
         """Multiplicative inverse; requires an invertible constant term."""
-        c0 = self.coeffs[0]
-        if self.ring is not None:
-            v = c0.constant_value()
-            if v is None or v == 0:
-                raise ZeroDivisionError("constant term is not an invertible scalar")
-            c0 = v
-            sc = self.ring.const(1 / c0)
-        else:
-            if c0 == 0:
+        zero_exps = _zero_exps(self.ring)
+        unit = self._slices.get(zero_exps)
+        if unit is None or not unit[0][0] or any(
+                nums[0] for exps, (nums, _) in self._slices.items() if exps != zero_exps):
+            if self.ring is None:
                 raise ZeroDivisionError("series has zero constant term")
-            sc = 1 / c0
-        # long division: g with f*g = 1, computed degree by degree
-        f = self.scale(sc)  # now unit constant term
-        zero = self._zero_coeff()
-        g = [zero] * (self.order + 1)
-        one = self.ring.one if self.ring is not None else ONE
-        g[0] = one
-        for n in range(1, self.order + 1):
-            acc = zero
-            for k in range(1, n + 1):
-                fk = f.coeffs[k]
-                if (fk == 0) if self.ring is None else fk.is_zero():
-                    continue
-                acc = acc + fk * g[n - k]
-            g[n] = -acc
-        return QSeries(g, order=self.order, ring=self.ring).scale(sc)
+            raise ZeroDivisionError("constant term is not an invertible scalar")
+        inv = _series(self.order, self.ring, {zero_exps: _inverse(*unit, self.order)})
+        rest = {exps: s for exps, s in self._slices.items() if exps != zero_exps}
+        if not rest:
+            return inv
+        # self = u + r with r of q-valuation >= 1: 1/self = sum_k (1/u) (-r/u)^k
+        h = -_product(inv, _series(self.order, self.ring, rest))
+        out = inv
+        for _ in range(self.order):
+            out = inv + _product(out, h)
+        return out
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -403,40 +540,41 @@ class QSeries:
 
     def q_derivative(self):
         """The operator q d/dq: coefficient c_n maps to n*c_n; order preserved."""
-        return QSeries([c * n for n, c in enumerate(self.coeffs)],
-                       order=self.order, ring=self.ring)
+        return _series(self.order, self.ring, _finish({
+            exps: ([n * x for n, x in enumerate(nums)], den)
+            for exps, (nums, den) in self._slices.items()}))
 
     # -- comparison / io ------------------------------------------------
 
     def __eq__(self, other):
         return (isinstance(other, QSeries) and self.order == other.order
-                and self.ring == other.ring and self.coeffs == other.coeffs)
+                and self.ring == other.ring and self._slices == other._slices)
 
     def __hash__(self):
-        return hash((self.order, self.coeffs))
+        return hash((self.order, tuple(sorted(
+            (exps, tuple(nums), den) for exps, (nums, den) in self._slices.items()))))
+
+    def _common_ring(self, other, order):
+        n = min(self.order, other.order)
+        if order is not None:
+            n = min(n, order)
+        a, b = self, other
+        if a.ring is None and b.ring is not None:
+            a = a.lift(b.ring)
+        if b.ring is None and a.ring is not None:
+            b = b.lift(a.ring)
+        return n, a, b
 
     def agrees_with(self, other, order=None):
         """Coefficientwise equality up to min(order, both truncations)."""
-        n = min(self.order, other.order)
-        if order is not None:
-            n = min(n, order)
-        a, b = self, other
-        if a.ring is None and b.ring is not None:
-            a = a.lift(b.ring)
-        if b.ring is None and a.ring is not None:
-            b = b.lift(a.ring)
-        return all(a.coeffs[k] == b.coeffs[k] for k in range(n + 1))
+        n, a, b = self._common_ring(other, order)
+        return a.ring == b.ring and a.truncate(n)._slices == b.truncate(n)._slices
 
     def first_mismatch(self, other, order=None):
         """First degree where the two series differ, or None; for reporting."""
-        n = min(self.order, other.order)
-        if order is not None:
-            n = min(n, order)
-        a, b = self, other
-        if a.ring is None and b.ring is not None:
-            a = a.lift(b.ring)
-        if b.ring is None and a.ring is not None:
-            b = b.lift(a.ring)
+        n, a, b = self._common_ring(other, order)
+        if a.ring == b.ring and a.truncate(n)._slices == b.truncate(n)._slices:
+            return None
         for k in range(n + 1):
             if a.coeffs[k] != b.coeffs[k]:
                 return k, a.coeffs[k], b.coeffs[k]
@@ -467,13 +605,14 @@ def lambert_term(numer_shift, denom_form, power, scale=ONE, order=30, ring=None)
         raise ValueError("denominator form and power must be positive")
     if a < 0:
         raise ValueError("numerator shift must be nonnegative")
-    zero = ring.zero if ring is not None else ZERO
-    coeffs = [zero] * (order + 1)
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    nums = [0] * (order + 1)
     j = 0
     while a + j * m <= order:
-        coeffs[a + j * m] = comb(j + p - 1, p - 1)
+        nums[a + j * m] = comb(j + p - 1, p - 1)
         j += 1
-    series = QSeries(coeffs, order=order, ring=ring)
+    series = _series(order, ring, {_zero_exps(ring): (nums, 1)} if a <= order else {})
     if isinstance(scale, (int, Fraction)) and scale == 1:
         return series
     return series.scale(scale)

@@ -28,14 +28,9 @@ def eulerian(s):
     if s < 1:
         raise ValueError("index must be a positive integer")
     # (1-t)^s mod t^(s+1)
-    binom = [Fraction((-1) ** k * comb(s, k)) for k in range(s + 1)]
-    rhs = [ZERO] + [Fraction(d ** (s - 1)) for d in range(1, s + 1)]
-    out = [ZERO] * (s + 1)
-    for i, b in enumerate(binom):
-        if not b:
-            continue
-        for j in range(s + 1 - i):
-            out[i + j] += b * rhs[j]
+    binom = QSeries([(-1) ** k * comb(s, k) for k in range(s + 1)])
+    rhs = QSeries([0] + [d ** (s - 1) for d in range(1, s + 1)])
+    out = list((binom * rhs).coeffs)
     while len(out) > 1 and out[-1] == 0:
         out.pop()
     return tuple(out)
@@ -143,11 +138,8 @@ def z_series(indices, order):
 def _bernoulli_list(n):
     """B_0..B_n from inverting the exponential generating series of (e^t-1)/t."""
     # f = (e^t - 1)/t has coefficients 1/(k+1)!; g = 1/f gives B_k = k! g_k
-    f = [Fraction(1, factorial(k + 1)) for k in range(n + 1)]
-    g = [ONE] + [ZERO] * n
-    for k in range(1, n + 1):
-        g[k] = -sum(f[j] * g[k - j] for j in range(1, k + 1))
-    return tuple(factorial(k) * g[k] for k in range(n + 1))
+    g = QSeries([Fraction(1, factorial(k + 1)) for k in range(n + 1)]).inverse()
+    return tuple(factorial(k) * c for k, c in enumerate(g.coeffs))
 
 
 def bernoulli(i):

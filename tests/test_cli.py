@@ -11,7 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qzeta.cli import (BinOp, DOp, EulerPowGen, GGen, Lit, Neg, ParseError,
-                       SumRef, ZGen, BGen, eval_text, main, parse, print_expr)
+                       SumRef, ZGen, BGen, build_arg_parser, eval_text, main,
+                       parse, print_expr)
+from qzeta.pipeline import CHECKS
 from qzeta.ring import QSeries, euler_pow
 from qzeta.zeta import bracket, z_series
 
@@ -295,6 +297,49 @@ class TestFailureModes:
         assert [d["status"] for d in data] == ["error", "pass"]
         assert data[0]["detail"] == "ValueError: boom second line"
         assert data[0]["order"] == 10
+
+
+class TestParserReuse:
+    REQUESTS = (["expand", "Z(2)", "--order", "5"],  # valid
+                ["expand"],                          # usage error: exit 2
+                ["--help"],
+                ["verify", "--help"])
+
+    def run_all(self, capsys):
+        out = []
+        for argv in self.REQUESTS:
+            code = main(list(argv))
+            captured = capsys.readouterr()
+            out.append((code, captured.out, captured.err))
+        return out
+
+    def test_parser_built_once_and_output_unchanged(self, capsys, monkeypatch):
+        import qzeta.cli as cli
+
+        built = []
+
+        def counting_build():
+            built.append(1)
+            return build_arg_parser()
+
+        cli._arg_parser.cache_clear()
+        monkeypatch.setattr(cli, "build_arg_parser", counting_build)
+        try:
+            first = self.run_all(capsys)
+            second = self.run_all(capsys)
+        finally:
+            cli._arg_parser.cache_clear()
+        assert len(built) == 1
+        assert first == second
+        (code, out, err), (ucode, uout, uerr), (hcode, hout, herr), \
+            (vcode, vout, verr) = first
+        assert code == 0 and len(out.splitlines()) == 6 and err == ""
+        assert ucode == 2 and uout == "" and "usage: qzeta expand" in uerr
+        assert hcode == 0 and herr == "" and hout.startswith("usage: qzeta")
+        fresh = io.StringIO()
+        build_arg_parser().print_help(fresh)
+        assert fresh.getvalue() == hout
+        assert vcode == 0 and all(name in " ".join(vout.split()) for name in CHECKS)
 
 
 class TestSubprocess:

@@ -233,6 +233,11 @@ class TestEquivEngines:
             b = fock_trace_bruteforce(parts, N) * reducer
             assert a.agrees_with(b), parts
 
+    def test_zero_part_rejected(self):
+        for parts in ((0,), (2, 0, -2)):
+            with pytest.raises(ValueError, match="parts must be nonzero integers"):
+                equiv_trace(parts, 5)
+
 
 class TestTraceProperties:
     """Internal consistency laws of the surface recursion engine."""
