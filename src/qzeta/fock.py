@@ -17,9 +17,9 @@ from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
-from math import comb, factorial
+from math import comb, factorial, perm
 
-from .ring import MPolyRing, ONE, QSeries, ZERO, lambert_term
+from .ring import MPolyRing, QSeries, ZERO, lambert_term
 
 
 # -- generalized partitions --------------------------------------------------
@@ -809,27 +809,47 @@ def fock_trace_bruteforce(parts, order):
     coefficient 1 and a_m removes a part m with coefficient m times its
     multiplicity.  The word applies right to left, and a state contributes
     q^size exactly when the deterministic walk returns to it.
+
+    The walk runs on the multiplicities of the part sizes the word touches
+    (its support).  Every other part is a spectator the walk never changes, so
+    a support state of size `base` counts in q^(base + r) once per partition
+    of r with no part in the support, read from one coin-change table.
     """
-    coeffs = [ZERO] * (order + 1)
-    rev = tuple(reversed(parts))
-    for state in all_partition_states(order):
-        size = sum(state)
-        current = list(state)
+    parts = tuple(parts)
+    if any(p == 0 for p in parts):
+        raise ValueError("parts must be nonzero integers")
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    support = sorted({abs(p) for p in parts})
+    index = {s: i for i, s in enumerate(support)}
+    spectators = [1] + [0] * order
+    for coin in range(1, order + 1):
+        if coin not in index:
+            for r in range(coin, order + 1):
+                spectators[r] += spectators[r - coin]
+    walk = [(p, index[abs(p)]) for p in reversed(parts)]
+    coeffs = [0] * (order + 1)
+
+    def visit(i, base, start):
+        if i < len(support):
+            for m in range((order - base) // support[i] + 1):
+                visit(i + 1, base + m * support[i], start + [m])
+            return
+        current = list(start)
         factor = 1
-        dead = False
-        for p in rev:
+        for p, j in walk:
             if p < 0:
-                current.append(-p)
+                current[j] += 1
+            elif current[j]:
+                factor *= p * current[j]
+                current[j] -= 1
             else:
-                mult = current.count(p)
-                if not mult:
-                    dead = True
-                    break
-                factor *= p * mult
-                current.remove(p)
-        if dead or len(current) != len(state) or sorted(current) != sorted(state):
-            continue
-        coeffs[size] += factor
+                return
+        if current == start:
+            for r in range(order - base + 1):
+                coeffs[base + r] += factor * spectators[r]
+
+    visit(0, 0, [])
     return QSeries(coeffs, order=order)
 
 
@@ -942,73 +962,41 @@ def gamma_trace(m, word, order):
 
 
 # -- half vertex operator commutation, checked on the Fock basis ----------------
+#
+# States are partitions with parts in falling order.  A row lists an operator's
+# image of one state as (state', degree, integer numerator).
 
 
-def _mat_apply(vec, op):
-    """vec: {state: {(a, b): coeff}} with monomials y^a x^(-b); op maps a state
-    to [(state', (da, db), coeff)]."""
-    out = {}
-    for state, poly in vec.items():
-        for state2, (da, db), c in op(state):
-            tgt = out.setdefault(state2, {})
-            for (a, b), v in poly.items():
-                key = (a + da, b + db)
-                tgt[key] = tgt.get(key, ZERO) + v * c
-    for state, poly in list(out.items()):
-        for key, v in list(poly.items()):
-            if not v:
-                del poly[key]
-        if not poly:
-            del out[state]
-    return out
+def _gamma_minus_row(state, scale, budget):
+    """Gamma_-(scale, y): add a multiset mu of parts, |mu| = a <= budget.
+
+    The coefficient is scale^l(mu) y^a / z_mu with z_mu = prod n^k k!.  Since
+    a!/z_mu is an integer (it counts the permutations of cycle type mu), the
+    row holds scale^l(mu) a!/z_mu over the denominator a!, in rising a.
+    """
+    row = []
+    for a in range(budget + 1):
+        for mu in _partitions_of(a, a):
+            z = 1
+            for n, k in Counter(mu).items():
+                z *= n ** k * factorial(k)
+            row.append((tuple(sorted(state + mu, reverse=True)), a,
+                        scale ** len(mu) * factorial(a) // z))
+    return row
 
 
-def _gamma_minus_op(scale, order):
-    """Gamma_-(scale, y): add a multiset of parts, coefficient prod scale^k y^(n k)/(n^k k!)."""
-    def op(state):
-        out = []
-        budget = order - sum(state)
+def _gamma_plus_row(state, scale, bmax, sign=-1):
+    """Gamma_+(scale, x): remove multisets of removed size b <= bmax.
 
-        def rec(minpart, left, mult, added):
-            out.append((tuple(sorted(state + tuple(added))), (sum(added), 0), mult))
-            for n in range(minpart, left + 1):
-                c = mult
-                for k in range(1, left // n + 1):
-                    c = c * Fraction(scale, n) / k
-                    rec(n + 1, left - n * k, c, added + [n] * k)
-
-        rec(1, budget, ONE, [])
-        return out
-
-    return op
-
-
-def _gamma_plus_op(scale, order, sign=-1):
-    """Gamma_+(scale, x): remove multisets; a_n removes a part with factor sign*n*mult."""
-    def op(state):
-        mults = sorted(Counter(state).items())
-        out = []
-
-        def rec(idx, mult, removed, newmults):
-            if idx == len(mults):
-                if removed:
-                    parts = []
-                    for p, k in newmults:
-                        parts.extend([p] * k)
-                    out.append((tuple(sorted(parts)), (0, removed), mult))
-                else:
-                    out.append((state, (0, 0), mult))
-                return
-            p, m = mults[idx]
-            for k in range(m + 1):
-                # (scale/p)^k / k! * (sign*p)^k * m!/(m-k)! = scale^k sign^k C(m,k)
-                c = mult * Fraction(scale * sign) ** k * comb(m, k)
-                rec(idx + 1, c, removed + p * k, newmults + [(p, m - k)])
-
-        rec(0, ONE, 0, [])
-        return out
-
-    return op
+    a_n removes a part n with factor sign*n*mult, so taking k of the m parts n
+    gives (scale/n)^k/k! (sign*n)^k m!/(m-k)! = (scale*sign)^k C(m, k): the
+    row's numerators are the coefficients of x^(-b) themselves.
+    """
+    row = [((), 0, 1)]
+    for n, m in Counter(state).items():
+        row = [(kept + (n,) * (m - k), b + n * k, c * (scale * sign) ** k * comb(m, k))
+               for kept, b, c in row for k in range(m + 1) if b + n * k <= bmax]
+    return [entry for entry in row if entry[2]]
 
 
 def gamma_commutation_check(pairing, order, window=6):
@@ -1020,72 +1008,75 @@ def gamma_commutation_check(pairing, order, window=6):
     (c, c') = (pairing, 1); monomials y^a x^(-b) are compared for a, b <= window.
     Uses the surface sign convention, under which the exponent is +pairing.
     The operators run on states graded up to order + window so that every path
-    contributing to a compared monomial is complete.
+    contributing to a compared monomial is complete.  Both sides of each
+    relation carry the same factorial denominators per monomial, so only
+    integer numerators are compared.
     """
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    if window < 1:
+        raise ValueError("window must be at least 1")
     c, cp = pairing, 1
     cap = order + window
-    gp = _gamma_plus_op(c, cap)
-    gm = _gamma_minus_op(cp, cap)
+    minus, plus = {}, {}
+
+    def gm(state):
+        row = minus.get(state)
+        if row is None:
+            row = minus[state] = _gamma_minus_row(state, cp, cap - sum(state))
+        return row
+
+    def gp(state):
+        row = plus.get(state)
+        if row is None:
+            row = plus[state] = _gamma_plus_row(state, c, window)
+        return row
+
+    def nonzero(vec):
+        return {key: v for key, v in vec.items() if v}
 
     states = all_partition_states(order)
 
-    # [Gamma_-(x), Gamma_-(y)] = 0: compare both compositions with the
-    # x-additions recorded in a separate monomial slot.
-    def gm_mono(scale, slot, cap):
-        base = _gamma_minus_op(scale, cap)
-
-        def op(state):
-            out = []
-            for (s2, (d, _), cc) in base(state):
-                mono = (d, 0) if slot == 0 else (0, -d)  # y^d vs x^{+d} via b=-d
-                out.append((s2, mono, cc))
-            return out
-
-        return op
-
-    ok = True
-    gy = gm_mono(cp, 0, cap)
-    gx = gm_mono(cp, 1, cap)
+    # [Gamma_-(x), Gamma_-(y)] = 0.  A path state -> s1 -> s2 adds its first
+    # multiset in y and its second in x under Gamma_-(x) Gamma_-(y), and the
+    # reverse under Gamma_-(y) Gamma_-(x).  Keys are (state, y-degree,
+    # x-degree); y^a x^d carries 1/(a! d!) on both sides.
     for state in states:
-        v1 = _mat_apply(_mat_apply({state: {(0, 0): ONE}}, gy), gx)
-        v2 = _mat_apply(_mat_apply({state: {(0, 0): ONE}}, gx), gy)
-        if v1 != v2:
-            ok = False
-            break
-    if not ok:
-        return False
+        yx, xy = {}, {}
+        for s1, a, n1 in gm(state):
+            for s2, d, n2 in gm(s1):
+                yx[s2, a, d] = yx.get((s2, a, d), 0) + n1 * n2
+                xy[s2, d, a] = xy.get((s2, d, a), 0) + n1 * n2
+        if nonzero(yx) != nonzero(xy):
+            return False
 
     # prefactor (1 - y/x)^(c c') truncated in powers of y/x
     e = c * cp
-    pref = {}
     if e >= 0:
-        for j in range(e + 1):
-            pref[j] = Fraction((-1) ** j * comb(e, j))
+        pref = [(-1) ** j * comb(e, j) for j in range(e + 1)]
     else:
-        for j in range(window + 1):
-            pref[j] = Fraction(comb(-e + j - 1, j))  # (1-u)^e = sum C(-e+j-1, j) u^j
+        pref = [comb(-e + j - 1, j) for j in range(window + 1)]  # (1-u)^e
 
-    def clip(poly):
-        return {(a, b): v for (a, b), v in poly.items()
-                if a <= window and b <= window and v}
-
+    # Gamma_+ Gamma_- = prefactor * Gamma_- Gamma_+, compared as a! times the
+    # coefficient of y^a x^(-b); the prefactor's y^j scales a term of the right
+    # side by a!/(a-j)!.  Degrees only grow along a path, so a path stops once
+    # it leaves the window (Gamma_- rows rise in a).
     for state in states:
-        start = {state: {(0, 0): ONE}}
-        # operator product Gamma_+(x) Gamma_-(y) applies Gamma_- first
-        lhs = _mat_apply(_mat_apply(start, gm), gp)
-        rhs = _mat_apply(_mat_apply(start, gp), gm)
-        # multiply rhs by prefactor
-        rhs2 = {}
-        for st, poly in rhs.items():
-            tgt = rhs2.setdefault(st, {})
-            for (a, b), v in poly.items():
-                for j, pc in pref.items():
-                    key = (a + j, b + j)
-                    tgt[key] = tgt.get(key, ZERO) + v * pc
-        lhs_c = {st: clip(p) for st, p in lhs.items()}
-        rhs_c = {st: clip(p) for st, p in rhs2.items()}
-        lhs_c = {st: p for st, p in lhs_c.items() if p}
-        rhs_c = {st: p for st, p in rhs_c.items() if p}
-        if lhs_c != rhs_c:
+        lhs, rhs = {}, {}
+        for s1, a, n1 in gm(state):
+            if a > window:
+                break
+            for s2, b, n2 in gp(s1):
+                lhs[s2, a, b] = lhs.get((s2, a, b), 0) + n1 * n2
+        for s1, b, n1 in gp(state):
+            for s2, a, n2 in gm(s1):
+                if a > window:
+                    break
+                for j, pc in enumerate(pref):
+                    if a + j > window or b + j > window:
+                        break
+                    key = s2, a + j, b + j
+                    rhs[key] = rhs.get(key, 0) + n1 * n2 * pc * perm(a + j, j)
+        if nonzero(lhs) != nonzero(rhs):
             return False
     return True

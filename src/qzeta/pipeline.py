@@ -423,7 +423,7 @@ def check_trij1Xij1X(order=20):
     return CheckResult("trij1Xij1X", True, order, "four-operator grouped traces")
 
 
-def check_gamma_comm(order=8):
+def check_gamma_comm(order=10):
     for pairing in (0, 1, 2, -1):
         if not gamma_commutation_check(pairing, order, window=6):
             return CheckResult("gamma_comm", False, order, f"pairing {pairing}")
@@ -603,7 +603,7 @@ CHECKS = {
     "trala_suite": (check_trala_suite, 20, 0),
     "tracei1Xj1X": (check_tracei1Xj1X, 20, 0),
     "trij1Xij1X": (check_trij1Xij1X, 20, 0),
-    "gamma_comm": (check_gamma_comm, 8, 0),
+    "gamma_comm": (check_gamma_comm, 10, 0),
     "str_gk_k1": (check_str_gk_k1, 8, 2),
     "equiv_kodd_vanishing": (check_equiv_kodd_vanishing, 20, 2),
     "h11_direct_vs_decomp": (check_h11_direct_vs_decomp, 30, 17),

@@ -2,10 +2,12 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 from math import comb, factorial
 
 import pytest
 
+import qzeta.fock as fock
 from qzeta.ring import QSeries, euler_pow, lambert_term
 from qzeta.fock import (CohClass, DecoratedOp, GenPartition, SurfaceModel,
                         chern_op, commutator, equiv_chern_coefficient,
@@ -237,6 +239,76 @@ class TestEquivEngines:
         for parts in ((0,), (2, 0, -2)):
             with pytest.raises(ValueError, match="parts must be nonzero integers"):
                 equiv_trace(parts, 5)
+
+
+def reference_bruteforce(parts, order):
+    """The per-state Fraction walk over every partition of size <= order,
+    kept as a reference for the integer oracle `fock_trace_bruteforce`."""
+    coeffs = [F(0)] * (order + 1)
+    rev = tuple(reversed(parts))
+    for state in fock.all_partition_states(order):
+        current = list(state)
+        factor = 1
+        dead = False
+        for p in rev:
+            if p < 0:
+                current.append(-p)
+            else:
+                mult = current.count(p)
+                if not mult:
+                    dead = True
+                    break
+                factor *= p * mult
+                current.remove(p)
+        if dead or len(current) != len(state) or sorted(current) != sorted(state):
+            continue
+        coeffs[sum(state)] += factor
+    return QSeries(coeffs, order=order)
+
+
+class TestBruteForceOracle:
+    """The integer support walk against the per-state reference walk."""
+
+    ORDERS = (0, 1, 5, 12)
+    LETTERS = (-4, -3, -2, -1, 1, 2, 3, 4)
+
+    def _agree(self, parts, order):
+        got = fock_trace_bruteforce(parts, order)
+        want = reference_bruteforce(parts, order)
+        assert got.order == want.order == order
+        assert got.coeffs == want.coeffs, (parts, order)
+
+    def test_every_short_word(self):
+        for order in self.ORDERS:
+            for length in range(5):
+                for parts in product(self.LETTERS, repeat=length):
+                    self._agree(parts, order)
+
+    def test_seeded_longer_words(self):
+        rng = random.Random(5150)
+        for _ in range(400):
+            parts = tuple(rng.choice(self.LETTERS) for _ in range(rng.randint(5, 8)))
+            for order in self.ORDERS:
+                self._agree(parts, order)
+
+    def test_empty_unbalanced_and_dead_words(self):
+        words = ((), (-1,), (3,), (-2, -2, 2), (1, -1), (2, 2, -2, -2),
+                 (4, -4, -4), (1, -2, 2, -1), (3, 3, -3))
+        for parts in words:
+            for order in self.ORDERS:
+                self._agree(parts, order)
+        # unbalanced words never return a state to itself
+        assert fock_trace_bruteforce((-2, -2, 2), 12).is_zero()
+        # a_{-1} a_1 kills the empty state, and a_1 a_{-1} does not
+        assert fock_trace_bruteforce((-1, 1), 0).is_zero()
+        assert not fock_trace_bruteforce((1, -1), 0).is_zero()
+
+    def test_bad_arguments_rejected(self):
+        for parts in ((0,), (2, 0, -2)):
+            with pytest.raises(ValueError, match="parts must be nonzero integers"):
+                fock_trace_bruteforce(parts, 5)
+        with pytest.raises(ValueError, match="order must be nonnegative"):
+            fock_trace_bruteforce((-1, 1), -1)
 
 
 class TestTraceProperties:
@@ -546,3 +618,53 @@ class TestGammaCommutation:
 
     def test_negative_pairing(self):
         assert gamma_commutation_check(-1, 5, window=4)
+
+    def test_vacuous_arguments_rejected(self):
+        with pytest.raises(ValueError, match="order must be nonnegative"):
+            gamma_commutation_check(2, -1)
+        for window in (0, -1):
+            with pytest.raises(ValueError, match="window must be at least 1"):
+                gamma_commutation_check(2, 3, window=window)
+
+    def test_flipped_plus_sign_fails(self, monkeypatch):
+        plus = fock._gamma_plus_row
+        monkeypatch.setattr(fock, "_gamma_plus_row",
+                            lambda state, scale, bmax: plus(state, scale, bmax, sign=1))
+        assert gamma_commutation_check(0, 5, window=4)
+        for pairing in (1, 2, -1):
+            assert not gamma_commutation_check(pairing, 5, window=4), pairing
+
+    def test_perturbed_minus_entry_fails(self, monkeypatch):
+        minus = fock._gamma_minus_row
+
+        def perturbed(state, scale, budget):
+            row = minus(state, scale, budget)
+            if state == (1,):
+                target, a, num = row[3]
+                row[3] = (target, a, num + 1)
+            return row
+
+        monkeypatch.setattr(fock, "_gamma_minus_row", perturbed)
+        for pairing in (0, 1, 2, -1):
+            assert not gamma_commutation_check(pairing, 5, window=4), pairing
+
+    def test_minus_row_numerators_over_factorial(self):
+        # numerator / a! is prod (c'/n)^k / k! over the added parts n, k times each
+        cap = 7
+        for scale in (1, 2, -1):
+            for state in fock.all_partition_states(cap):
+                budget = cap - sum(state)
+                row = fock._gamma_minus_row(state, scale, budget)
+                assert [a for _, a, _ in row] == sorted(a for _, a, _ in row)
+                added = set()
+                for target, a, num in row:
+                    mu = Counter(target) - Counter(state)
+                    assert Counter(state) + mu == Counter(target)
+                    assert sum(n * k for n, k in mu.items()) == a
+                    want = F(1)
+                    for n, k in mu.items():
+                        want *= F(scale, n) ** k / factorial(k)
+                    assert F(num, factorial(a)) == want, (state, target)
+                    added.add(tuple(sorted(mu.elements())))
+                # each multiset of size <= budget exactly once
+                assert len(added) == len(row) == sum(euler_pow(-1, budget).coeffs)
