@@ -383,7 +383,7 @@ def _order_default():
         try:
             return int(env)
         except ValueError as exc:
-            raise SystemExit(f"bad QZETA_DEFAULT_ORDER: {env!r}") from exc
+            raise ValueError(f"bad QZETA_DEFAULT_ORDER: {env!r}") from exc
     return DEFAULT_ORDER
 
 
@@ -524,10 +524,10 @@ def main(argv=None):
     except SystemExit as exc:
         # argparse exits 2 on usage errors, 0 on --help
         return exc.code if exc.code is not None else 0
-    # verify keeps order=None so each check uses its registered default
-    if args.order is None and args.fn is not cmd_verify:
-        args.order = _order_default()
     try:
+        # verify keeps order=None so each check uses its registered default
+        if args.order is None and args.fn is not cmd_verify:
+            args.order = _order_default()
         return args.fn(args, sys.stdout)
     except (ParseError, KeyError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

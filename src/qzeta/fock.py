@@ -111,6 +111,8 @@ class SurfaceModel:
         self.K_trivial = bool(K_trivial)
         self.chi = self.ring.const(chi) if chi is not None else self.ring.gen("chi")
         self._engines = {}
+        self._class_ids = {}  # CohClass.key() -> small integer id
+        self._products = {}  # (id, id) -> CohClass product
 
     def pairing_symbol(self, d1, d2):
         if self.K_trivial and ("K" in (d1, d2)):
@@ -150,6 +152,14 @@ class SurfaceModel:
             return table[name]()
         return self.divisor(name)
 
+    def product(self, a, b):
+        """a * b for classes of this surface, memoized by class ids."""
+        key = (a.id(), b.id())
+        got = self._products.get(key)
+        if got is None:
+            got = self._products[key] = a * b
+        return got
+
     def engine(self, order):
         eng = self._engines.get(order)
         if eng is None:
@@ -161,13 +171,14 @@ class SurfaceModel:
 class CohClass:
     """Inhomogeneous even cohomology class on the surface model."""
 
-    __slots__ = ("surface", "deg0", "deg2", "deg4")
+    __slots__ = ("surface", "deg0", "deg2", "deg4", "_id")
 
     def __init__(self, surface, deg0, deg2, deg4):
         self.surface = surface
         self.deg0 = deg0
         self.deg2 = {d: c for d, c in deg2.items() if not c.is_zero()}
         self.deg4 = deg4
+        self._id = None
 
     def is_zero(self):
         return self.deg0.is_zero() and not self.deg2 and self.deg4.is_zero()
@@ -241,6 +252,13 @@ class CohClass:
                 tuple(sorted((d, c.key()) for d, c in self.deg2.items())),
                 self.deg4.key())
 
+    def id(self):
+        """Small integer naming this class in its surface: equal classes, equal ids."""
+        if self._id is None:
+            ids = self.surface._class_ids
+            self._id = ids.setdefault(self.key(), len(ids))
+        return self._id
+
     def __eq__(self, other):
         return isinstance(other, CohClass) and self.key() == other.key()
 
@@ -282,11 +300,8 @@ class DecoratedOp:
     def length(self):
         return len(self.parts)
 
-    def partition(self):
-        return GenPartition(self.parts)
-
     def key(self):
-        return (self.parts, self.klass.key())
+        return (self.parts, self.klass.id())
 
     def __repr__(self):
         return f"a{list(self.parts)}({self.klass!r})"
@@ -305,7 +320,7 @@ def commutator(left, right):
         for j, mj in enumerate(right.parts):
             if nt == -mj:
                 if klass is None:
-                    klass = left.klass * right.klass
+                    klass = left.klass.surface.product(left.klass, right.klass)
                     if klass.is_zero():
                         return []
                 parts = (right.parts[:j]
@@ -481,9 +496,17 @@ class SurfaceTraceEngine:
         return total
 
 
+def _check_surface(ops, surface):
+    # class ids are per surface: a foreign class would alias memo entries
+    if any(op.klass.surface is not surface for op in ops):
+        raise ValueError("operator class belongs to another surface model")
+
+
 def trace_product(word, surface, order):
     """Reduced Tr q^n of a product of grouped operators (no normalization)."""
-    return surface.engine(order).trace(tuple(word))
+    word = tuple(word)
+    _check_surface(word, surface)
+    return surface.engine(order).trace(word)
 
 
 # -- vertex-operator trace expansion ------------------------------------------
@@ -551,20 +574,30 @@ def _mode_imbalance(parts):
 class _Contraction:
     """One row of a removal table: what an expansion leaves after the vertex.
 
-    `series` sums coefficient * factor * removal weight over every term and
+    `terms` sums coefficient * factor per removal factors over every term and
     removal option that leave `leftover` with the removed balance `balance`;
-    `qcost` is the least q-valuation among them.
+    `qcost` is the least q-valuation among them.  The row's series, the sum of
+    the terms' removal weights, is built on first use.
     """
 
-    __slots__ = ("leftover", "key", "balance", "qcost", "series", "imbalance")
+    __slots__ = ("leftover", "key", "balance", "qcost", "terms", "imbalance",
+                 "_series")
 
-    def __init__(self, leftover, key, parts, balance, qcost, series):
+    def __init__(self, leftover, key, removal):
         self.leftover = leftover
         self.key = key
-        self.balance = balance
-        self.qcost = qcost
-        self.series = series
-        self.imbalance = _mode_imbalance(parts)
+        self.balance = removal.balance
+        self.qcost = removal.qcost
+        self.terms = {}
+        self.imbalance = _mode_imbalance(removal.remainder)
+        self._series = None
+
+    def series(self, order):
+        if self._series is None:
+            self._series = sum((_removal_series_rational(factors, order).scale(c)
+                                for factors, c in self.terms.items() if c),
+                               QSeries.zero(order))
+        return self._series
 
 
 def _contract_trace(expansions, order, contract, trace_word, ring=None):
@@ -572,32 +605,31 @@ def _contract_trace(expansions, order, contract, trace_word, ring=None):
 
     contract(expansion) yields (removal, leftover, leftover key, factor) for
     every term and kept removal option of one expansion, and
-    trace_word(leftovers) traces a word of leftovers.  Each expansion is
-    contracted into the vertex once, into a table whose rows are keyed by the
-    leftover and the removed balance (rows whose summed series cancels are
-    dropped).  Tuples of rows are walked with pruning by q-cost, by removed
-    balance, and by the leftover parts, which must pair every mode n with a
-    mode -n for the trace to be nonzero.  Each distinct leftover word is
-    traced once, and only nonzero traces are multiplied by the summed removal
-    weights.
+    trace_word(leftovers) traces a word of leftovers.  Each distinct
+    expansion object is contracted into the vertex once, into a table whose
+    rows are keyed by the leftover and the removed balance (rows whose summed
+    coefficients all cancel are dropped).  Tuples of rows are walked with
+    pruning by q-cost, by removed balance, and by the leftover parts, which
+    must pair every mode n with a mode -n for the trace to be nonzero.  Each
+    distinct leftover word is traced once, and only nonzero traces are
+    multiplied by the rows' removal weights.
     """
     if not expansions:
         return trace_word(())
-    tables = []
+    tables = {}  # id of a distinct expansion -> its rows
     for expansion in expansions:
+        if id(expansion) in tables:
+            continue
         rows = {}
         for removal, leftover, leftover_key, factor in contract(expansion):
-            series = _removal_series_rational(removal.factors, order).scale(factor)
-            key = (leftover_key, removal.balance)
-            row = rows.get(key)
+            row = rows.get((leftover_key, removal.balance))
             if row is None:
-                rows[key] = _Contraction(leftover, leftover_key, removal.remainder,
-                                         removal.balance, removal.qcost, series)
-            else:
-                row.qcost = min(row.qcost, removal.qcost)
-                row.series = row.series + series
-        tables.append([row for row in rows.values() if not row.series.is_zero()])
-    *heads, tail = tables
+                row = rows[leftover_key, removal.balance] = _Contraction(
+                    leftover, leftover_key, removal)
+            row.qcost = min(row.qcost, removal.qcost)
+            row.terms[removal.factors] = row.terms.get(removal.factors, 0) + factor
+        tables[id(expansion)] = [row for row in rows.values() if any(row.terms.values())]
+    *heads, tail = [tables[id(expansion)] for expansion in expansions]
     # the last row of a tuple is looked up by the balance and imbalance it cancels
     tails = {}
     for row in tail:
@@ -612,9 +644,9 @@ def _contract_trace(expansions, order, contract, trace_word, ring=None):
             entry = traced[key] = [None if inner.is_zero() else inner, None]
         if entry[0] is None:
             return
-        weight = rows[0].series
+        weight = rows[0].series(order)
         for row in rows[1:]:
-            weight = weight * row.series
+            weight = weight * row.series(order)
         entry[1] = weight if entry[1] is None else entry[1] + weight
 
     def walk(i, qcost, balance, imbalance, rows):
@@ -648,6 +680,9 @@ def vertex_trace_sum(expansions, surface, order):
     expansions: a list of operator expansions, each a list of
     (coefficient, DecoratedOp), walked by `_contract_trace`.
     """
+    for expansion in expansions:
+        _check_surface((op for _, op in expansion), surface)
+
     def contract(expansion):
         one_minus_k = surface.one_minus_K()
         twists = {}
@@ -655,7 +690,7 @@ def vertex_trace_sum(expansions, surface, order):
             for removal in _group_removals(op.parts, order):
                 klass, npos = op.klass, removal.npos
                 if npos:
-                    twist_key = (klass.key(), npos)
+                    twist_key = (klass.id(), npos)
                     klass = twists.get(twist_key)
                     if klass is None:
                         klass = twists[twist_key] = (one_minus_k ** npos) * op.klass

@@ -93,7 +93,9 @@ def f_series_reduced(spec):
     if got is not None:
         return got
     surface, order = spec.surface, spec.order
-    expansions = [chern_op(k, a, surface, order) for k, a in spec.entries]
+    distinct = {(k, a.id()): a for k, a in spec.entries}  # one expansion each
+    built = {key: chern_op(key[0], a, surface, order) for key, a in distinct.items()}
+    expansions = [built[k, a.id()] for k, a in spec.entries]
     acc = vertex_trace_sum(expansions, surface, order)
     cache[spec.key()] = acc
     return acc

@@ -103,9 +103,6 @@ class QMDecomposition:
             s = s + _monomial_series(m, order).scale(c)
         return s
 
-    def as_named_dict(self):
-        return {monomial_name(m): c for m, c in sorted(self.coeffs.items())}
-
     def __eq__(self, other):
         return isinstance(other, QMDecomposition) and self.coeffs == other.coeffs
 

@@ -463,30 +463,31 @@ def _lf(coeffs, const=0):
     return LinearForm(coeffs, const)
 
 
-def builtin_sums():
-    """Named NestedSumSpec catalog for the displayed multi-sums.
+def _build_catalog():
+    """Named catalog for the displayed multi-sums: name -> list of NestedSumSpec.
 
-    h11_0 / h11_2 / h11_4 are the three components of the equivariant
-    two-point function; thm_sum1..3 are the explicit sums multiplying the
-    canonical-divisor square in the surface two-point theorem.
+    A named sum is the sum of its specs.  h11_0 / h11_2 / h11_4 are the three
+    components of the equivariant two-point function; thm_sum1..3 are the
+    explicit sums multiplying the canonical-divisor square in the surface
+    two-point theorem.
     """
     catalog = {}
 
     # h11_0 = sum_{i,j>0} ij(i+j) q^(i+j) / ((1-q^i)(1-q^j)(1-q^(i+j)))
-    catalog["h11_0"] = NestedSumSpec(
+    catalog["h11_0"] = [NestedSumSpec(
         2, "free",
         [SumTerm([
             SumFactor(_lf([1, 1]), _lf([1, 0]),
                       poly=IndexPoly([(1, (2, 1)), (1, (1, 2))])),
             SumFactor(_lf([0, 0]), _lf([0, 1])),
             SumFactor(_lf([0, 0]), _lf([1, 1])),
-        ])])
+        ])])]
 
     # h11_2 = -sum j(i+j)(q^(i+j)+q^(2i+j)) / ((1-q^i)^2 (1-q^j)(1-q^(i+j)))
     #         - (1/2) sum ij (q^(i+j)+q^(2i+2j)) / ((1-q^i)(1-q^j)(1-q^(i+j))^2)
     poly_j_ipj = IndexPoly([(1, (1, 1)), (1, (0, 2))])
     poly_ij = IndexPoly([(1, (1, 1))])
-    catalog["h11_2"] = NestedSumSpec(
+    catalog["h11_2"] = [NestedSumSpec(
         2, "free",
         [
             SumTerm([SumFactor(_lf([1, 1]), _lf([1, 0]), 2, poly=poly_j_ipj),
@@ -501,7 +502,7 @@ def builtin_sums():
             SumTerm([SumFactor(_lf([2, 2]), _lf([1, 0]), poly=poly_ij),
                      SumFactor(_lf([0, 0]), _lf([0, 1])),
                      SumFactor(_lf([0, 0]), _lf([1, 1]), 2)], scale=Fraction(-1, 2)),
-        ])
+        ])]
 
     # h11_4: (1/4) sum_{i+j=k+l} (i+j) q^(i+j)(1+q^(i+j)) / (...)
     #        - sum_{i,j,k} (i+j) q^(i+j+k)(1+q^(i+j)) / (...)
@@ -510,7 +511,7 @@ def builtin_sums():
     poly_ipj3 = IndexPoly([(1, (1, 0, 0)), (1, (0, 1, 0))])
     poly_k3 = IndexPoly([(1, (0, 0, 1))])
 
-    h4_terms = [
+    catalog["h11_4"] = [
         NestedSumSpec(4, ("equal_sum", (0, 1), (2, 3)), [
             SumTerm([SumFactor(_lf([1, 1, 0, 0]), _lf([1, 1, 0, 0]), poly=poly_ipj4),
                      SumFactor(_lf([0, 0, 0, 0]), _lf([1, 0, 0, 0])),
@@ -550,22 +551,21 @@ def builtin_sums():
                      SumFactor(_lf([0, 0, 0]), _lf([0, 1, 1]))]),
         ]),
     ]
-    catalog["h11_4"] = h4_terms  # combined below; see eval_named
 
     # thm_sum1 = sum_{n>m>0} q^n(1+q^n)/(1-q^n)^3 * (n - nm + m^2)/(1-q^m)
     poly_nm = IndexPoly([(1, (1, 0)), (-1, (1, 1)), (1, (0, 2))])
-    catalog["thm_sum1"] = NestedSumSpec(
+    catalog["thm_sum1"] = [NestedSumSpec(
         2, "chain",
         [
             SumTerm([SumFactor(_lf([1, 0]), _lf([1, 0]), 3, poly=poly_nm),
                      SumFactor(_lf([0, 0]), _lf([0, 1]))]),
             SumTerm([SumFactor(_lf([2, 0]), _lf([1, 0]), 3, poly=poly_nm),
                      SumFactor(_lf([0, 0]), _lf([0, 1]))]),
-        ])
+        ])]
 
     # thm_sum2 = 2 sum_{n>m>l>0} n q^n(1+q^n)/(1-q^n)^3 / ((1-q^m)(1-q^l))
     poly_n = IndexPoly([(1, (1, 0, 0))])
-    catalog["thm_sum2"] = NestedSumSpec(
+    catalog["thm_sum2"] = [NestedSumSpec(
         3, "chain",
         [
             SumTerm([SumFactor(_lf([1, 0, 0]), _lf([1, 0, 0]), 3, poly=poly_n),
@@ -574,28 +574,33 @@ def builtin_sums():
             SumTerm([SumFactor(_lf([2, 0, 0]), _lf([1, 0, 0]), 3, poly=poly_n),
                      SumFactor(_lf([0, 0, 0]), _lf([0, 1, 0])),
                      SumFactor(_lf([0, 0, 0]), _lf([0, 0, 1]))], scale=2),
-        ])
+        ])]
 
     # thm_sum3 = 2 sum_{n>m>l>0} q^n/(1-q^n)^2 * m q^m/(1-q^m)^2 / (1-q^l)
     poly_m = IndexPoly([(1, (0, 1, 0))])
-    catalog["thm_sum3"] = NestedSumSpec(
+    catalog["thm_sum3"] = [NestedSumSpec(
         3, "chain",
         [SumTerm([SumFactor(_lf([1, 0, 0]), _lf([1, 0, 0]), 2),
                   SumFactor(_lf([0, 1, 0]), _lf([0, 1, 0]), 2, poly=poly_m),
-                  SumFactor(_lf([0, 0, 0]), _lf([0, 0, 1]))], scale=2)])
+                  SumFactor(_lf([0, 0, 0]), _lf([0, 0, 1]))], scale=2)])]
 
     return catalog
 
 
+_CATALOG = _build_catalog()
+
+
+def builtin_sums():
+    """The named catalog: a fresh dict of name -> list of NestedSumSpec."""
+    return {name: list(specs) for name, specs in _CATALOG.items()}
+
+
 def eval_named(name, order):
-    """Evaluate a catalog sum by key."""
-    catalog = builtin_sums()
-    if name not in catalog:
-        raise KeyError(f"unknown named sum {name!r}; known: {sorted(catalog)}")
-    entry = catalog[name]
-    if isinstance(entry, list):
-        out = QSeries.zero(order)
-        for spec in entry:
-            out = out + eval_nested_sum(spec, order)
-        return out
-    return eval_nested_sum(entry, order)
+    """Evaluate a catalog sum by key: the sum of its specs."""
+    specs = _CATALOG.get(name)
+    if specs is None:
+        raise KeyError(f"unknown named sum {name!r}; known: {sorted(_CATALOG)}")
+    out = QSeries.zero(order)
+    for spec in specs:
+        out = out + eval_nested_sum(spec, order)
+    return out

@@ -281,6 +281,13 @@ class TestFailureModes:
         new = [e for e in live_engines() if not any(e is b for b in before)]
         assert new == []
 
+    def test_bad_default_order_env_exit_2(self, capsys, monkeypatch):
+        # exit 1 would claim that a check failed
+        monkeypatch.setenv("QZETA_DEFAULT_ORDER", "abc")
+        code, err = self.run_main(capsys, "expand", "Z(2)")
+        assert code == 2
+        assert err == "error: bad QZETA_DEFAULT_ORDER: 'abc'\n"
+
     def test_crashing_check_is_an_error_and_the_run_goes_on(self, capsys,
                                                             monkeypatch):
         from qzeta.pipeline import CHECKS

@@ -12,8 +12,9 @@ from qzeta.ring import QSeries, euler_pow, lambert_term
 from qzeta.fock import (CohClass, DecoratedOp, GenPartition, SurfaceModel,
                         chern_op, commutator, equiv_chern_coefficient,
                         equiv_chern_op, equiv_trace, fock_trace_bruteforce,
-                        gamma_commutation_check, gamma_trace, trace_product,
-                        vertex_trace, _zero_weight_partitions)
+                        gamma_commutation_check, gamma_trace, gamma_trace_sum,
+                        trace_product, vertex_trace, vertex_trace_sum,
+                        _zero_weight_partitions)
 
 F = Fraction
 
@@ -511,6 +512,77 @@ class TestVertexTrace:
                 if not t.is_zero():
                     b = b + t.scale(c1 * c2)
         assert a.agrees_with(b)
+
+
+class TestInternedClasses:
+    """Class ids, memoized class products and shared removal tables."""
+
+    def test_equal_classes_share_an_id(self):
+        surf = SurfaceModel()
+        one, K = surf.one(), surf.canonical()
+        routes = [surf.one(), surf.class_by_name("1X"), one * one,
+                  (one - K) + K, surf.one_minus_K() + K, one ** 3]
+        assert {c.id() for c in routes} == {one.id()}
+        assert surf.euler().id() == surf.point().scale(surf.chi).id()
+        assert (K * K).id() == surf.point().scale(surf.ring.gen("K2")).id()
+
+    def test_different_classes_have_different_ids(self):
+        surf = SurfaceModel()
+        classes = [surf.zero_class(), surf.one(), surf.canonical(),
+                   surf.divisor("L1"), surf.divisor("L2"), surf.point(),
+                   surf.euler(), surf.one_minus_K(), surf.one().scale(2)]
+        assert len({c.id() for c in classes}) == len(classes)
+        # with K numerically trivial, K^2 is the zero class
+        ktriv = SurfaceModel(K_trivial=True)
+        K = ktriv.canonical()
+        assert (K * K).id() == ktriv.zero_class().id() != K.id()
+
+    def test_memoized_product(self):
+        surf = SurfaceModel()
+        a, b = surf.one_minus_K(), surf.divisor("L1")
+        got = surf.product(a, b)
+        assert got == a * b
+        assert surf.product(surf.one_minus_K(), surf.divisor("L1")) is got
+
+    @pytest.mark.parametrize("K_trivial", [False, True])
+    def test_repeated_expansion_object_or_copy(self, K_trivial):
+        surf = SurfaceModel(K_trivial=K_trivial)
+        for order in range(9):
+            e = chern_op(1, surf.one(), surf, order)
+            shared = vertex_trace_sum([e, e], surf, order)
+            copied = vertex_trace_sum([e, list(e)], surf, order)
+            assert shared == copied, order
+        assert not shared.is_zero()
+
+    def test_gamma_repeated_expansion_object_or_copy(self):
+        order = 10
+        ops = equiv_chern_op(1, order)
+        for m in range(4):
+            shared = gamma_trace_sum(m, [ops, ops], order)
+            assert shared == gamma_trace_sum(m, [ops, list(ops)], order), m
+            assert m in (1, 2) or not shared.is_zero()
+
+    def test_cancelling_terms_trace_to_zero(self):
+        surf, order = SurfaceModel(), 8
+        op = DecoratedOp((-2, 1, 1), surf.one())
+        cancel = [(F(3, 2), op), (F(-3, 2), op)]
+        e = chern_op(1, surf.one(), surf, order)
+        assert vertex_trace_sum([cancel], surf, order).is_zero()
+        assert vertex_trace_sum([e, cancel], surf, order).is_zero()
+        parts = (-2, 1, 1)
+        assert gamma_trace_sum(2, [[(F(3), parts), (F(-3), parts)]], order).is_zero()
+
+    def test_foreign_surface_classes_rejected(self):
+        surf, other = SurfaceModel(), SurfaceModel()
+        mine = DecoratedOp((-1, 1), surf.one())
+        foreign = DecoratedOp((-1, 1), other.one())
+        assert not trace_product([mine], surf, 5).is_zero()
+        with pytest.raises(ValueError, match="another surface"):
+            trace_product([mine, foreign], surf, 5)
+        with pytest.raises(ValueError, match="another surface"):
+            vertex_trace_sum([[(1, mine)], [(1, foreign)]], surf, 5)
+        with pytest.raises(ValueError, match="another surface"):
+            vertex_trace([foreign], surf, 5)
 
 
 class TestChernOps:

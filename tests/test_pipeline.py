@@ -126,6 +126,26 @@ class TestContractionTables:
         assert not got.is_zero()
         assert got == explicit_term_sum(spec)
 
+    def test_one_table_per_distinct_expansion(self, monkeypatch):
+        # a table runs _group_removals once per term of its expansion
+        import qzeta.fock as fock
+        groups = []
+        real = fock._group_removals
+        monkeypatch.setattr(fock, "_group_removals",
+                            lambda parts, order: groups.append(parts) or real(parts, order))
+        surf, order = SurfaceModel(), 6
+        g1 = chern_op(1, surf.one(), surf, order)
+        g0 = chern_op(0, surf.divisor("L1"), surf, order)
+        # equal classes built by different routes share one expansion
+        f_series_reduced(FSeriesSpec(((1, surf.one()), (1, surf.one())), surf, order))
+        assert len(groups) == len(g1)
+        f_series_reduced(FSeriesSpec(((1, surf.one()), (0, surf.divisor("L1"))),
+                                     surf, order))
+        assert len(groups) == 2 * len(g1) + len(g0)
+        del groups[:]
+        equiv_ch1ch1(2, order)
+        assert len(groups) == len(equiv_chern_op(1, order))
+
     def test_word_of_nonzero_weight_traces_to_zero(self):
         surf = SurfaceModel()
         word = [DecoratedOp((-2, 1, 1), surf.one()),
