@@ -377,11 +377,18 @@ def _emit_series(s, as_json, out):
         out.write(f"{n}\t{text}\n")
 
 
+def _index_order(order):
+    """order, unless a series of order + 1 coefficients cannot be indexed."""
+    if order is not None and order >= sys.maxsize:
+        raise ValueError(f"order {order} is too large")
+    return order
+
+
 def _order_default():
     env = os.environ.get("QZETA_DEFAULT_ORDER")
     if env is not None:
         try:
-            return int(env)
+            return _index_order(int(env))
         except ValueError as exc:
             raise ValueError(f"bad QZETA_DEFAULT_ORDER: {env!r}") from exc
     return DEFAULT_ORDER
@@ -528,6 +535,7 @@ def main(argv=None):
         # verify keeps order=None so each check uses its registered default
         if args.order is None and args.fn is not cmd_verify:
             args.order = _order_default()
+        _index_order(args.order)
         return args.fn(args, sys.stdout)
     except (ParseError, KeyError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -46,20 +46,15 @@ def monomial_name(m):
 
 
 @lru_cache(maxsize=None)
-def _gen_series(weight, order):
-    return z_series((weight,), order)
-
-
-@lru_cache(maxsize=None)
 def _monomial_series(m, order):
     a, b, c = m
     s = QSeries.one(order)
     if a:
-        s = s * _gen_series(2, order) ** a
+        s = s * z_series((2,), order) ** a
     if b:
-        s = s * _gen_series(4, order) ** b
+        s = s * z_series((4,), order) ** b
     if c:
-        s = s * _gen_series(6, order) ** c
+        s = s * z_series((6,), order) ** c
     return s
 
 

@@ -407,6 +407,14 @@ class QSeries:
         return _series(order, ring, {_zero_exps(ring): ([1] + [0] * order, 1)})
 
     @staticmethod
+    def from_numerators(nums, den, order):
+        """The rational series sum_n nums[n]/den q^n: order + 1 integers, den > 0."""
+        if order < 0:
+            raise ValueError("order must be nonnegative")
+        s = _canon(nums, den)
+        return _series(order, None, {} if s is None else {(): s})
+
+    @staticmethod
     def monomial(exponent, order, scale=ONE, ring=None):
         if exponent < 0:
             raise ValueError("negative q-exponent")

@@ -11,9 +11,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from itertools import accumulate
+from math import comb, factorial, lcm, prod
+from operator import add, mul
 
-from .ring import ONE, ZERO, QSeries, as_fraction, lambert_term
+from .ring import ONE, ZERO, QSeries, as_fraction
 
 # -- Eulerian polynomials and numerator families ---------------------------
 
@@ -54,65 +56,60 @@ def _zeta_numerator(s):
     return (ZERO,) * h + (ONE, ONE)
 
 
-def _poly_valuation(poly):
-    for v, c in enumerate(poly):
-        if c:
-            return v
-    raise ValueError("zero numerator polynomial")
+def _divide(nums, n, p):
+    """nums / (1 - q^n)^p in place, truncated at len(nums): p strided running sums.
 
-
-@lru_cache(maxsize=None)
-def _chain_factor(poly, s, n, order):
-    """Series of P(q^n)/(1-q^n)^s for a numerator polynomial P."""
-    total = QSeries.zero(order)
-    for j, c in enumerate(poly):
-        if c and n * j <= order:
-            total = total + lambert_term(n * j, n, s, scale=c, order=order)
-    return total
+    Each pass takes min(n, len/n) slice operations: one running sum per
+    residue class mod n, or one add of each block of n into the next.
+    """
+    size = len(nums)
+    for _ in range(p):
+        if n * n < size:
+            for r in range(n):
+                nums[r::n] = accumulate(nums[r::n])
+        else:
+            for lo in range(n, size, n):
+                nums[lo: lo + n] = map(add, nums[lo: lo + n], nums[lo - n: lo])
+    return nums
 
 
 def _zq_series(numerators, indices, order):
-    """sum over chains n_1 > ... > n_l >= 1 of prod numerator_i(q^{n_i})/(1-q^{n_i})^{s_i}."""
+    """sum over chains n_1 > ... > n_l >= 1 of prod numerator_i(q^{n_i})/(1-q^{n_i})^{s_i}.
+
+    One pass over b = 1, 2, ...: with T_i(b) the sum over the chains
+    b > n_i > ... > n_l, T_i(b+1) = T_i(b) + f_i(b) T_{i+1}(b) and
+    T_{l+1} = 1.  T_i is a numerator list over the product of the
+    denominators of numerators i.., and each step is cut at the degree the
+    positions before i still leave (n_j >= b + i - j for j < i).
+    """
+    polys, den = [], 1
+    for s in indices:
+        poly = numerators(s)
+        d = lcm(*(c.denominator for c in poly))
+        polys.append([(j, c.numerator * (d // c.denominator))
+                      for j, c in enumerate(poly) if c])
+        den *= d
+    vals = [poly[0][0] for poly in polys]
     ell = len(indices)
-    if ell == 0:
-        return QSeries.one(order)
-    polys = [numerators(s) for s in indices]
-    vals = [_poly_valuation(p) for p in polys]
-
-    # minimal chain-tail degree when positions i.. are still free and the
-    # next value must be < bound: tail takes the smallest admissible chain
-    def tail_min(i, bound):
-        need = ell - i
-        if bound - 1 < need:
-            return None
-        # smallest strictly decreasing tail below bound is need, need-1, ..., 1
-        total = 0
-        v = need
-        for j in range(i, ell):
-            total += vals[j] * v
-            v -= 1
-        return total
-
-    out = QSeries.zero(order)
-
-    def walk(i, bound, spent, prefix):
-        nonlocal out
-        if i == ell:
-            out = out + prefix
-            return
-        n = min(bound - 1, (order - spent) // vals[i] if vals[i] else bound - 1)
-        while n >= ell - i:
-            cost = vals[i] * n
-            rest = tail_min(i + 1, n)
-            if rest is None or spent + cost + rest > order:
-                n -= 1
-                continue
-            walk(i + 1, n, spent + cost,
-                 prefix * _chain_factor(polys[i], indices[i], n, order))
-            n -= 1
-
-    walk(0, order + 2 + ell, 0, QSeries.one(order))
-    return out
+    sums = [[0] * (order + 1) for _ in range(ell)] + [[1] + [0] * order]
+    for b in range(1, order + 1):
+        for i in range(ell):
+            top = order - sum(vals[j] * (b + i - j) for j in range(i))
+            m = top - vals[i] * b
+            if m < 0:
+                break
+            if b < ell - i:
+                continue  # no chain of positions i+1.. below b
+            y = _divide(sums[i + 1][: m + 1], b, indices[i])
+            row = sums[i]
+            for j, c in polys[i]:
+                lo = j * b
+                if lo > top:
+                    break
+                part = y[: top - lo + 1]
+                row[lo: top + 1] = map(add, row[lo: top + 1],
+                                       part if c == 1 else [c * x for x in part])
+    return QSeries.from_numerators(sums[0], den, order)
 
 
 def bracket(indices, order):
@@ -182,7 +179,7 @@ class LinearForm:
         self.const = int(const)
 
     def __call__(self, values):
-        return sum(c * v for c, v in zip(self.coeffs, values) if c) + self.const
+        return sum(map(mul, self.coeffs, values)) + self.const
 
     def support(self):
         return [i for i, c in enumerate(self.coeffs) if c]
@@ -192,27 +189,30 @@ class LinearForm:
 
 
 class IndexPoly:
-    """Polynomial in the summation indices with Fraction coefficients."""
+    """Polynomial in the summation indices with Fraction coefficients.
 
-    __slots__ = ("terms",)
+    It is evaluated as integer coefficients over one denominator, den.
+    """
+
+    __slots__ = ("terms", "den", "_ints")
 
     def __init__(self, terms):
         # terms: iterable of (coeff, exponent tuple)
         self.terms = tuple((as_fraction(c), tuple(e)) for c, e in terms)
+        self.den = lcm(*(c.denominator for c, _ in self.terms))
+        self._ints = [(c.numerator * (self.den // c.denominator), e) for c, e in self.terms]
 
     @staticmethod
     def const(c, nindices):
         return IndexPoly([(c, (0,) * nindices)])
 
+    def numerator(self, values):
+        """den times the value: an integer at integer values."""
+        return sum(c * prod(x ** e for x, e in zip(values, exps) if e)
+                   for c, exps in self._ints)
+
     def __call__(self, values):
-        total = ZERO
-        for c, exps in self.terms:
-            v = c
-            for x, e in zip(values, exps):
-                if e:
-                    v *= x ** e
-            total += v
-        return total
+        return Fraction(self.numerator(values), self.den)
 
     def support(self):
         out = set()
@@ -309,33 +309,16 @@ class NestedSumSpec:
                         f"nested sum does not terminate: index {i} is unbounded")
 
 
-@lru_cache(maxsize=None)
-def _cached_lambert(num, den, power, order):
-    return lambert_term(num, den, power, order=order)
-
-
-def _factor_series(factor, values, order):
-    num = factor.num(values)
-    den = factor.den(values)
-    if den <= 0:
-        raise ValueError("denominator form must be positive on the index cone")
-    if num > order:
-        return None
-    s = _cached_lambert(num, den, factor.power, order)
-    if factor.poly is not None:
-        c = factor.poly(values)
-        if not c:
-            return QSeries.zero(order)
-        s = s.scale(c)
-    return s
-
-
 def _eval_term(spec, term, order):
-    """Enumerate admissible index tuples for one term, with subtree memoization.
+    """Numerators (over the returned denominator) of one term, to the given order.
 
-    Levels fix indices left to right; a subtree's value only depends on the
-    fixed values that remaining factors or constraints actually reference,
-    so equal-sum splittings collapse to one evaluation per shared sum.
+    Levels fix indices left to right.  subtree(d, budget) is the sum over
+    the indices of levels d.. of the factors completed there, a numerator
+    list up to degree budget: the order minus the q-valuation of the
+    factors completed above.  Its value only depends on the fixed values
+    that remaining factors or constraints reference, so the memo is keyed by
+    those and reused when its precision covers the request; equal-sum
+    splittings collapse to one evaluation per shared sum.
     """
     k = spec.nindices
     total = spec._total_exponent(term)
@@ -354,8 +337,7 @@ def _eval_term(spec, term, order):
     completes = [[] for _ in range(k)]
     for f in term.factors:
         sup = f.support()
-        d = max(level_of[i] for i in sup) if sup else 0
-        completes[d].append(f)
+        completes[max(level_of[i] for i in sup) if sup else 0].append(f)
 
     # which earlier indices each level's subtree still references
     relevant = [set() for _ in range(k + 1)]
@@ -364,96 +346,89 @@ def _eval_term(spec, term, order):
         for f in completes[d]:
             rel.update(f.support())
         rel.discard(level_order[d])
-        relevant[d] = rel
+        relevant[d] = sorted(rel)
+    # least exponent of the indices of levels d.., each >= 1
+    min_future = [sum(total.coeffs[i] for i in level_order[d:]) for d in range(k + 1)]
 
     memo = {}
     values = [0] * k
 
-    def min_future(d):
-        # remaining indices each >= 1 (chain handled by pruning at assignment)
-        return sum(total.coeffs[level_order[e]] for e in range(d, k))
-
-    def subtree(d, spent):
+    def subtree(d, budget):
         if d == k:
-            return QSeries.one(order)
+            return [1] + [0] * budget
         idx = level_order[d]
-        key_vals = tuple(values[i] for i in sorted(relevant[d]))
         if isinstance(mode, tuple) and idx in group_b:
-            key_extra = (sum(values[i] for i in group_a)
-                         - sum(values[level_order[e]] for e in range(len(group_a), d)))
+            extra = (sum(values[i] for i in group_a)
+                     - sum(values[level_order[e]] for e in range(len(group_a), d)))
         elif mode == "chain":
-            key_extra = values[level_order[d - 1]] if d > 0 else None
+            extra = values[level_order[d - 1]] if d > 0 else None
         else:
-            key_extra = None
-        key = (d, spent, key_vals, key_extra)
+            extra = None
+        key = (d, tuple(values[i] for i in relevant[d]), extra)
         hit = memo.get(key)
-        if hit is not None:
+        if hit is not None and len(hit) > budget:
             return hit
 
-        acc = QSeries.zero(order)
+        acc = [0] * (budget + 1)
         c_idx = total.coeffs[idx]
-
+        # least q-valuation of the factors held here, less c_idx * n: the
+        # indices of levels d.. are still 0 in values
+        base = sum(f.num(values) for fs in completes[d:] for f in fs) + min_future[d + 1]
         if isinstance(mode, tuple) and idx in group_b:
-            remaining = key_extra
             later_b = [i for i in group_b if level_of[i] > d]
-            if later_b:
-                lo, hi = 1, remaining - len(later_b)
-            else:
-                lo = hi = remaining  # forced
-            candidates = range(lo, hi + 1)
+            candidates = range(1, extra - len(later_b) + 1) if later_b else (extra,)
         else:
-            if mode == "chain":
-                upper = values[level_order[d - 1]] - 1 if d > 0 else None
-            else:
-                upper = None
+            upper = values[level_order[d - 1]] - 1 if mode == "chain" and d > 0 else None
             if c_idx > 0:
-                room = order - spent - min_future(d + 1)
-                bound = room // c_idx
+                bound = (budget - base) // c_idx
                 if upper is not None:
                     bound = min(bound, upper)
+            elif upper is None:
+                raise AssertionError("termination check should have rejected this")
             else:
-                if upper is None:
-                    raise AssertionError("termination check should have rejected this")
                 bound = upper
-            lo = 1
-            if mode == "chain":
-                lo = k - d  # leave room for the strictly smaller tail
-            candidates = range(lo, bound + 1)
+            # a chain leaves room for the strictly smaller tail
+            candidates = range(k - d if mode == "chain" else 1, bound + 1)
 
         for n in candidates:
             if n < 1:
                 continue
+            if base + c_idx * n > budget:
+                break
             values[idx] = n
-            cost = c_idx * n
-            if spent + cost + min_future(d + 1) > order:
-                if c_idx > 0:
-                    break
-                continue
-            prefix = None
-            dead = False
+            shift, scalar, poles = 0, 1, []
             for f in completes[d]:
-                s = _factor_series(f, values, order)
-                if s is None:
-                    dead = True
-                    break
-                prefix = s if prefix is None else prefix * s
-            if dead:
+                num, pole = f.num(values), f.den(values)
+                if pole <= 0:
+                    raise ValueError("denominator form must be positive on the index cone")
+                if num < 0:
+                    raise ValueError("numerator form must be nonnegative on the index cone")
+                shift += num
+                poles.append((pole, f.power))
+                if f.poly is not None:
+                    scalar *= f.poly.numerator(values)
+            if shift > budget or not scalar:
                 continue
-            sub = subtree(d + 1, spent + cost)
-            acc = acc + (sub if prefix is None else prefix * sub)
+            y = subtree(d + 1, budget - shift)[: budget - shift + 1]
+            for pole, power in poles:
+                _divide(y, pole, power)
+            acc[shift:] = map(add, acc[shift:], y if scalar == 1 else [scalar * x for x in y])
         values[idx] = 0
         memo[key] = acc
         return acc
 
-    return subtree(0, 0).scale(term.scale)
+    return subtree(0, order), prod(f.poly.den for f in term.factors if f.poly is not None)
 
 
 def eval_nested_sum(spec, order):
     """Exact truncated value of the sum over all admissible index tuples."""
     out = QSeries.zero(order)
     for term in spec.terms:
-        out = out + _eval_term(spec, term, order)
-    return out.scale(spec.scale)
+        nums, den = _eval_term(spec, term, order)
+        scale = term.scale * spec.scale
+        out = out + QSeries.from_numerators(
+            [x * scale.numerator for x in nums], den * scale.denominator, order)
+    return out
 
 
 # -- named catalog ----------------------------------------------------------

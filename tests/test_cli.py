@@ -288,6 +288,22 @@ class TestFailureModes:
         assert code == 2
         assert err == "error: bad QZETA_DEFAULT_ORDER: 'abc'\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["expand", "B[1]"], ["decompose", "Z(2)"], ["trace", "a[-1,1](1X)"],
+        ["verify", "--check", "dz3"]])
+    def test_order_too_large_to_index_exit_2(self, capsys, argv):
+        # an uncaught OverflowError before; verify logged it and exited 3
+        huge = "99999999999999999999"
+        code, err = self.run_main(capsys, *argv, "--order", huge)
+        assert code == 2
+        assert err == f"error: order {huge} is too large\n"
+
+    def test_default_order_env_too_large_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("QZETA_DEFAULT_ORDER", str(sys.maxsize))
+        code, err = self.run_main(capsys, "expand", "Z(2)")
+        assert code == 2
+        assert err == f"error: bad QZETA_DEFAULT_ORDER: '{sys.maxsize}'\n"
+
     def test_crashing_check_is_an_error_and_the_run_goes_on(self, capsys,
                                                             monkeypatch):
         from qzeta.pipeline import CHECKS

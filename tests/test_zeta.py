@@ -1,6 +1,7 @@
 """q-zeta generators and the nested-sum evaluator against frozen oracles."""
 from fractions import Fraction
-from math import factorial
+from itertools import combinations, product
+from math import comb, factorial, prod
 
 import pytest
 
@@ -205,6 +206,21 @@ class TestNestedSums:
                     want = want + mono * geo(i) * geo(s - i) * geo(k) * geo(s - k)
         assert got.agrees_with(want)
 
+    def test_malformed_specs_raise(self):
+        lf = LinearForm
+        with pytest.raises(ValueError, match="denominator form"):
+            eval_nested_sum(NestedSumSpec(2, "free", [SumTerm([
+                SumFactor(lf([1, 1]), lf([1, -1]))])]), 5)
+        with pytest.raises(ValueError, match="nonnegative"):
+            eval_nested_sum(NestedSumSpec(2, "free", [SumTerm([
+                SumFactor(lf([1, -1]), lf([1, 0])),
+                SumFactor(lf([0, 2]), lf([0, 1]))])]), 5)
+        with pytest.raises(ValueError, match="partition"):
+            eval_nested_sum(NestedSumSpec(3, ("equal_sum", (0, 1), (1, 2)), [SumTerm([
+                SumFactor(lf([1, 1, 0]), lf([1, 0, 0])),
+                SumFactor(lf([0, 0, 0]), lf([0, 1, 0])),
+                SumFactor(lf([0, 0, 0]), lf([0, 0, 1]))])]), 5)
+
     def test_unknown_name(self):
         with pytest.raises(KeyError):
             eval_named("nope", 5)
@@ -212,3 +228,180 @@ class TestNestedSums:
     def test_catalog_keys(self):
         assert set(builtin_sums()) == {
             "h11_0", "h11_2", "h11_4", "thm_sum1", "thm_sum2", "thm_sum3"}
+
+
+# -- independent oracles: direct enumeration, no evaluator --------------------
+
+ORACLE_ORDER = 10
+
+
+def _expand(shift, pole, power, order):
+    """q^shift / (1 - q^pole)^power as a coefficient list, by the binomial series."""
+    out = [0] * (order + 1)
+    for j, k in enumerate(range(shift, order + 1, pole)):
+        out[k] = comb(j + power - 1, power - 1)
+    return out
+
+
+def _times(a, b):
+    order = len(a) - 1
+    return [sum(a[i] * b[n - i] for i in range(n + 1)) for n in range(order + 1)]
+
+
+def _form(form, values):
+    return sum(c * v for c, v in zip(form.coeffs, values)) + form.const
+
+
+def _index_tuples(spec, order):
+    """Every admissible index tuple with entries small enough to reach q^order."""
+    k, mode = spec.nindices, spec.constraint
+    if mode == "free":
+        yield from product(range(1, order + 1), repeat=k)
+    elif mode == "chain":
+        yield from combinations(range(order, 0, -1), k)
+    else:
+        _, group_a, group_b = mode
+        for head in product(range(1, order + 1), repeat=len(group_a)):
+            for tail in product(range(1, sum(head) + 1), repeat=len(group_b)):
+                if sum(tail) == sum(head):
+                    values = [0] * k
+                    for i, v in zip(list(group_a) + list(group_b), head + tail):
+                        values[i] = v
+                    yield tuple(values)
+
+
+def nested_sum_oracle(spec, order):
+    """The sum of a NestedSumSpec over its lattice points, term by term in Fractions."""
+    total = [F(0)] * (order + 1)
+    for values in _index_tuples(spec, order):
+        for term in spec.terms:
+            series, coeff = [1] + [0] * order, spec.scale * term.scale
+            for f in term.factors:
+                series = _times(series, _expand(_form(f.num, values), _form(f.den, values),
+                                                f.power, order))
+                if f.poly is not None:
+                    coeff *= sum(c * prod(v ** e for v, e in zip(values, exps))
+                                 for c, exps in f.poly.terms)
+            total = [t + coeff * x for t, x in zip(total, series)]
+    return total
+
+
+def chain_oracle(factor, indices, order):
+    """sum over n_1 > ... > n_l >= 1 of prod factor(s_i, n_i), factor a coefficient list."""
+    total = [F(0)] * (order + 1)
+    for chain in combinations(range(order, 0, -1), len(indices)):
+        series = [F(1)] + [F(0)] * order
+        for s, n in zip(indices, chain):
+            series = _times(series, factor(s, n, order))
+        total = [t + x for t, x in zip(total, series)]
+    return total
+
+
+def bracket_factor(s, n, order):
+    """sum_{d >= 1} d^(s-1)/(s-1)! q^(n d): the divisor-sum definition."""
+    out = [F(0)] * (order + 1)
+    for d in range(1, order // n + 1):
+        out[n * d] = F(d ** (s - 1), factorial(s - 1))
+    return out
+
+
+def zeta_factor(s, n, order):
+    """q^(n s/2)/(1-q^n)^s for even s, (q^(n(s-1)/2) + q^(n(s+1)/2))/(1-q^n)^s for odd s."""
+    if s % 2 == 0:
+        return _expand(n * s // 2, n, s, order)
+    low = _expand(n * (s - 1) // 2, n, s, order)
+    high = _expand(n * (s + 1) // 2, n, s, order)
+    return [a + b for a, b in zip(low, high)]
+
+
+def _lf(*coeffs, const=0):
+    return LinearForm(coeffs, const)
+
+
+# free, chain and equal-sum sums with powers >= 2, numerator constants and
+# IndexPolys with non-integer Fraction coefficients
+ORACLE_SPECS = {
+    "free_fraction_poly": NestedSumSpec(2, "free", [
+        SumTerm([SumFactor(_lf(1, 2, const=1), _lf(1, 1), 2,
+                           poly=IndexPoly([(F(1, 2), (1, 0)), (F(-2, 3), (0, 2)),
+                                           (F(5, 7), (1, 1))])),
+                 SumFactor(_lf(0, 0), _lf(0, 1), 3)], scale=F(3, 5)),
+        SumTerm([SumFactor(_lf(2, 1), _lf(1, 0)),
+                 SumFactor(_lf(0, 0), _lf(1, 1), 2, poly=IndexPoly([(F(7, 4), (0, 1))]))]),
+    ], scale=F(-2, 9)),
+    "chain_three": NestedSumSpec(3, "chain", [
+        SumTerm([SumFactor(_lf(1, 0, 0), _lf(1, 0, 0), 3,
+                           poly=IndexPoly([(F(1, 6), (1, 0, 1)), (F(-3, 2), (0, 2, 0))])),
+                 SumFactor(_lf(0, 1, 0), _lf(0, 1, 0), 2),
+                 SumFactor(_lf(0, 0, 0), _lf(0, 1, 1))]),
+        SumTerm([SumFactor(_lf(2, 0, 0), _lf(1, 0, 0), 2),
+                 SumFactor(_lf(0, 0, 0), _lf(0, 0, 1), 2,
+                           poly=IndexPoly([(F(2, 5), (0, 0, 1))]))], scale=F(-1, 3)),
+    ]),
+    "equal_sum_two_two": NestedSumSpec(4, ("equal_sum", (0, 1), (2, 3)), [
+        SumTerm([SumFactor(_lf(1, 1, 0, 0), _lf(1, 0, 0, 0), 2,
+                           poly=IndexPoly([(F(1, 3), (1, 0, 0, 1)), (F(1, 2), (0, 0, 2, 0))])),
+                 SumFactor(_lf(0, 0, 0, 0), _lf(0, 1, 0, 0)),
+                 SumFactor(_lf(0, 0, 0, 0), _lf(0, 0, 1, 0), 2),
+                 SumFactor(_lf(0, 0, 0, 0), _lf(0, 0, 1, 1))], scale=F(5, 2)),
+    ]),
+    "equal_sum_one_two": NestedSumSpec(3, ("equal_sum", (0,), (1, 2)), [
+        SumTerm([SumFactor(_lf(2, 0, 0), _lf(1, 0, 0), 2,
+                           poly=IndexPoly([(F(3, 4), (0, 1, 1))])),
+                 SumFactor(_lf(0, 0, 0), _lf(0, 1, 0), 3),
+                 SumFactor(_lf(0, 0, 0), _lf(0, 0, 1))]),
+    ]),
+}
+
+
+class TestIndependentOracles:
+    @pytest.mark.parametrize("name", sorted(ORACLE_SPECS))
+    def test_nested_sum_matches_lattice_enumeration(self, name):
+        spec = ORACLE_SPECS[name]
+        want = nested_sum_oracle(spec, ORACLE_ORDER)
+        assert any(want)
+        for order in range(ORACLE_ORDER + 1):
+            assert list(eval_nested_sum(spec, order).coeffs) == want[: order + 1], order
+
+    @pytest.mark.parametrize("name", sorted(builtin_sums()))
+    def test_catalog_matches_lattice_enumeration(self, name):
+        want = [F(0)] * (ORACLE_ORDER + 1)
+        for spec in builtin_sums()[name]:
+            want = [a + b for a, b in zip(want, nested_sum_oracle(spec, ORACLE_ORDER))]
+        for order in range(ORACLE_ORDER + 1):
+            assert list(eval_named(name, order).coeffs) == want[: order + 1], order
+
+    @pytest.mark.parametrize("indices", [
+        t for w in range(2, 8) for length in (2, 3)
+        for t in product(range(1, w), repeat=length) if sum(t) == w], ids=str)
+    def test_bracket_matches_chain_enumeration(self, indices):
+        want = chain_oracle(bracket_factor, indices, ORACLE_ORDER)
+        for order in range(ORACLE_ORDER + 1):
+            assert list(bracket(indices, order).coeffs) == want[: order + 1], order
+
+    @pytest.mark.parametrize("indices", [
+        (2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (2, 5), (5, 3),
+        (2, 2, 2), (3, 2, 2), (2, 3, 4)], ids=str)
+    def test_z_series_matches_chain_enumeration(self, indices):
+        want = chain_oracle(zeta_factor, indices, ORACLE_ORDER)
+        assert any(want)
+        for order in range(ORACLE_ORDER + 1):
+            assert list(z_series(indices, order).coeffs) == want[: order + 1], order
+
+
+def test_order_sweep_grows_no_cache():
+    # every memo of the evaluators lives for one call; the lru_caches left
+    # are small tables keyed by an index, not by the order
+    import qzeta.zeta as zeta
+    caches = {name: f for name, f in vars(zeta).items() if hasattr(f, "cache_info")}
+
+    def sweep(orders):
+        for order in orders:
+            for name in builtin_sums():
+                eval_named(name, order)
+            z_series((2, 3), order)
+            bracket((1, 2), order)
+        return {name: f.cache_info().currsize for name, f in caches.items()}
+
+    first = sweep([4])
+    assert sweep(range(4, 25)) == first
