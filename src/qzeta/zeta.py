@@ -357,7 +357,9 @@ def _eval_term(spec, term, order):
         if d == k:
             return [1] + [0] * budget
         idx = level_order[d]
-        if isinstance(mode, tuple) and idx in group_b:
+        if isinstance(mode, tuple):
+            # the constraint state at every level, group_a ones too: the
+            # group_b levels below read the group_a values through their sum
             extra = (sum(values[i] for i in group_a)
                      - sum(values[level_order[e]] for e in range(len(group_a), d)))
         elif mode == "chain":

@@ -351,6 +351,22 @@ ORACLE_SPECS = {
                  SumFactor(_lf(0, 0, 0), _lf(0, 1, 0), 3),
                  SumFactor(_lf(0, 0, 0), _lf(0, 0, 1))]),
     ]),
+    # no factor completing after the first level references index 0, so the
+    # subtrees below it differ only through the running equal-sum constraint
+    "equal_sum_one_index_factors": NestedSumSpec(4, ("equal_sum", (0, 1), (2, 3)), [
+        SumTerm([SumFactor(_lf(1, 0, 0, 0), _lf(1, 0, 0, 0)),
+                 SumFactor(_lf(0, 1, 0, 0), _lf(0, 1, 0, 0)),
+                 SumFactor(_lf(0, 0, 0, 0), _lf(0, 0, 1, 0), 2,
+                           poly=IndexPoly([(F(1, 2), (0, 0, 2, 0))])),
+                 SumFactor(_lf(0, 0, 0, 0), _lf(0, 0, 0, 1))]),
+    ]),
+    "equal_sum_three_one": NestedSumSpec(4, ("equal_sum", (0, 1, 2), (3,)), [
+        SumTerm([SumFactor(_lf(1, 0, 0, 0), _lf(1, 0, 0, 0), 2),
+                 SumFactor(_lf(0, 2, 0, 0), _lf(0, 1, 0, 0)),
+                 SumFactor(_lf(0, 0, 1, 0), _lf(0, 0, 1, 0)),
+                 SumFactor(_lf(0, 0, 0, 0), _lf(0, 0, 0, 1), 2,
+                           poly=IndexPoly([(F(1, 3), (0, 0, 0, 1))]))]),
+    ]),
 }
 
 
