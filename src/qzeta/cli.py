@@ -543,6 +543,10 @@ def main(argv=None):
     except RecursionError:
         print("error: expression nested too deeply", file=sys.stderr)
         return 2
+    except MemoryError:
+        # verify never gets here: run_checks reports a raising check as "error"
+        print(f"error: order {args.order} is too large to allocate", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ truth and its detail string reports the deviation of the printed display.
 from __future__ import annotations
 
 import logging
+import math
 from fractions import Fraction
 
 from .ring import QSeries, euler_pow, lambert_term
@@ -56,13 +57,6 @@ class CheckResult:
         return f"[{self.tag}] {self.name} (order {self.order}){': ' + self.detail if self.detail else ''}"
 
 
-def _series_check(name, order, got, want, detail=""):
-    mm = got.first_mismatch(want, order)
-    if mm is None:
-        return CheckResult(name, True, order, detail)
-    return CheckResult(name, False, order, detail, mismatch=mm)
-
-
 # -- surfaces and F-series ------------------------------------------------------
 
 
@@ -80,42 +74,28 @@ class FSeriesSpec:
         self.surface = surface
         self.order = order
 
-    def key(self):
-        return (tuple((k, a.key()) for k, a in self.entries), self.order)
-
 
 def f_series_reduced(spec):
     """Reduced generating series for a product of Chern character operators."""
-    cache = getattr(spec.surface, "_fseries_cache", None)
-    if cache is None:
-        cache = spec.surface._fseries_cache = {}
-    got = cache.get(spec.key())
-    if got is not None:
-        return got
     surface, order = spec.surface, spec.order
     distinct = {(k, a.id()): a for k, a in spec.entries}  # one expansion each
     built = {key: chern_op(key[0], a, surface, order) for key, a in distinct.items()}
-    expansions = [built[k, a.id()] for k, a in spec.entries]
-    acc = vertex_trace_sum(expansions, surface, order)
-    cache[spec.key()] = acc
-    return acc
+    return vertex_trace_sum([built[k, a.id()] for k, a in spec.entries],
+                            surface, order)
 
 
 def ch1ch1_reduced(surface, order):
     """Reduced two-point series of first Chern characters of L1^[n], L2^[n].
 
-    The first Chern character splits as the index-1 operator on the
-    fundamental class plus the index-0 operator on the divisor (the remaining
-    term of the general splitting vanishes), so the product expands into four
-    F-series.
+    The first Chern character of L^[n] is the index-1 operator on the
+    fundamental class plus the index-0 operator on the divisor L (the
+    remaining term of the general splitting vanishes), so the two-point
+    series is one walker call over the two summed expansions.
     """
-    one = surface.one()
-    l1, l2 = surface.divisor("L1"), surface.divisor("L2")
-    total = QSeries.zero(order, surface.ring)
-    for entries in (((1, one), (1, one)), ((1, one), (0, l1)),
-                    ((1, one), (0, l2)), ((0, l1), (0, l2))):
-        total = total + f_series_reduced(FSeriesSpec(entries, surface, order))
-    return total
+    ch1 = chern_op(1, surface.one(), surface, order)
+    return vertex_trace_sum(
+        [ch1 + chern_op(0, surface.divisor(name), surface, order)
+         for name in ("L1", "L2")], surface, order)
 
 
 def equiv_ch1ch1(m, order):
@@ -190,6 +170,46 @@ def ch1ch1_expected(surface, order):
 # -- the registry -----------------------------------------------------------------
 
 
+# name -> (check, default order, lowest order).  The lowest order is the
+# least at which the check runs to a verdict and compares at least one nonzero
+# coefficient (for equiv_kodd_vanishing: sums at least one nonzero trace), so
+# that no order accepted by run_checks can pass vacuously.
+CHECKS = {}
+
+
+def registered(name, default_order, lowest_order, detail):
+    """Declare a registry check; the decorated generator yields its cases.
+
+    The generator takes the order and yields (label, got, want) cases.  The
+    registered check fails at the first case where got differs from want (a
+    QSeries by `first_mismatch` up to the order, anything else by !=), with
+    the case's label as its detail, or the pass detail when the label is
+    empty.  Otherwise it passes with the pass detail followed by the
+    generator's return value, if any.  The decorator returns the check.
+    """
+    def register(cases):
+        def check(order):
+            return _verdict(name, order, detail, cases(order))
+        CHECKS[name] = (check, default_order, lowest_order)
+        return check
+    return register
+
+
+def _verdict(name, order, detail, cases):
+    while True:
+        try:
+            label, got, want = next(cases)
+        except StopIteration as done:
+            return CheckResult(name, True, order, detail + (done.value or ""))
+        if isinstance(got, QSeries):
+            mismatch = got.first_mismatch(want, order)
+            failed = mismatch is not None
+        else:
+            mismatch, failed = None, got != want
+        if failed:
+            return CheckResult(name, False, order, label or detail, mismatch)
+
+
 def _partition_numbers(n):
     """Dynamic-programming partition counter (independent of euler_pow)."""
     p = [1] + [0] * n
@@ -199,20 +219,18 @@ def _partition_numbers(n):
     return p
 
 
-def check_euler_partition_oracle(order=50):
+@registered("euler_partition_oracle", 50, 0,
+            "Euler product inverse vs partition-count recursion")
+def check_euler_partition_oracle(order):
     got = euler_pow(-1, order)
-    table = _partition_numbers(order)
-    want = QSeries(table, order=order)
-    inv = euler_pow(1, order) * got
-    res = _series_check("euler_partition_oracle", order, got, want,
-                        "Euler product inverse vs partition-count recursion")
-    if res.passed and not (inv - QSeries.one(order)).is_zero():
-        return CheckResult("euler_partition_oracle", False, order,
-                           "inverse pair product differs from 1")
-    return res
+    yield "", got, QSeries(_partition_numbers(order), order=order)
+    yield ("inverse pair product differs from 1", euler_pow(1, order) * got,
+           QSeries.one(order))
 
 
-def check_bracket_defs(order=40):
+@registered("bracket_defs", 40, 1,
+            "bracket closed forms and divisor-power forms, s <= 6")
+def check_bracket_defs(order):
     # [1], [2], [3] closed forms, then the general single-index formula
     d1 = QSeries.zero(order)
     d2 = QSeries.zero(order)
@@ -222,23 +240,17 @@ def check_bracket_defs(order=40):
         d2 = d2 + lambert_term(n, n, 1, order=order).scale(n)
         d3 = d3 + lambert_term(n, n, 1, order=order).scale(Fraction(n * n, 2))
     for name, idx, want in (("[1]", (1,), d1), ("[2]", (2,), d2), ("[3]", (3,), d3)):
-        mm = bracket(idx, order).first_mismatch(want)
-        if mm:
-            return CheckResult("bracket_defs", False, order, f"{name} failed", mm)
-    import math
+        yield f"{name} failed", bracket(idx, order), want
     for s in range(1, 7):
         want = QSeries.zero(order)
         for d in range(1, order + 1):
             want = want + lambert_term(d, d, 1, order=order).scale(
                 Fraction(d ** (s - 1), math.factorial(s - 1)))
-        mm = bracket((s,), order).first_mismatch(want)
-        if mm:
-            return CheckResult("bracket_defs", False, order, f"[{s}] divisor form", mm)
-    return CheckResult("bracket_defs", True, order,
-                       "bracket closed forms and divisor-power forms, s <= 6")
+        yield f"[{s}] divisor form", bracket((s,), order), want
 
 
-def check_okounkov_defs(order=40):
+@registered("okounkov_defs", 40, 1, "single-index Lambert closed forms")
+def check_okounkov_defs(order):
     z2want = QSeries.zero(order)
     z3want = QSeries.zero(order)
     z4want = QSeries.zero(order)
@@ -252,58 +264,46 @@ def check_okounkov_defs(order=40):
     cases = (("Z(2)", (2,), z2want), ("Z(3)", (3,), z3want),
              ("Z(4)", (4,), z4want), ("Z(6)", (6,), z6want))
     for name, idx, want in cases:
-        mm = z_series(idx, order).first_mismatch(want)
-        if mm:
-            return CheckResult("okounkov_defs", False, order, f"{name}", mm)
-    return CheckResult("okounkov_defs", True, order, "single-index Lambert closed forms")
+        yield name, z_series(idx, order), want
 
 
-def check_bk3_2_6(order=40):
+@registered("bk3_2_6", 40, 1, "bracket-to-Z conversions")
+def check_bk3_2_6(order):
     z2, z3, z4 = (z_series((s,), order) for s in (2, 3, 4))
-    pairs = (("Z(2) = [2]", z2, bracket((2,), order)),
-             ("Z(3) = 2[3]", z3, bracket((3,), order).scale(2)),
-             ("Z(4) = [4] - (1/6)[2]", z4,
-              bracket((4,), order) - bracket((2,), order).scale(Fraction(1, 6))))
-    for name, lhs, rhs in pairs:
-        mm = lhs.first_mismatch(rhs)
-        if mm:
-            return CheckResult("bk3_2_6", False, order, name, mm)
-    return CheckResult("bk3_2_6", True, order, "bracket-to-Z conversions")
+    yield "Z(2) = [2]", z2, bracket((2,), order)
+    yield "Z(3) = 2[3]", z3, bracket((3,), order).scale(2)
+    yield ("Z(4) = [4] - (1/6)[2]", z4,
+           bracket((4,), order) - bracket((2,), order).scale(Fraction(1, 6)))
 
 
-def check_eisenstein_conversion(order=40):
+@registered("eisenstein_conversion", 40, 0,
+            "G2/G4/G6 conversions incl. constant terms")
+def check_eisenstein_conversion(order):
     z2, z4, z6 = (z_series((s,), order) for s in (2, 4, 6))
     g2, g4, g6 = (eisenstein(w, order) for w in (2, 4, 6))
-    cases = (
-        ("G2 = -1/24 + Z(2)", g2, z2 + Fraction(-1, 24)),
-        ("G4 = 1/1440 + (1/6)Z(2) + Z(4)", g4,
-         z2.scale(Fraction(1, 6)) + z4 + Fraction(1, 1440)),
-        ("G6 = -1/60480 + (1/120)Z(2) + (1/4)Z(4) + Z(6)", g6,
-         z2.scale(Fraction(1, 120)) + z4.scale(Fraction(1, 4)) + z6
-         + Fraction(-1, 60480)),
-    )
-    for name, lhs, rhs in cases:
-        mm = lhs.first_mismatch(rhs)
-        if mm:
-            return CheckResult("eisenstein_conversion", False, order, name, mm)
+    yield "G2 = -1/24 + Z(2)", g2, z2 + Fraction(-1, 24)
+    yield ("G4 = 1/1440 + (1/6)Z(2) + Z(4)", g4,
+           z2.scale(Fraction(1, 6)) + z4 + Fraction(1, 1440))
+    yield ("G6 = -1/60480 + (1/120)Z(2) + (1/4)Z(4) + Z(6)", g6,
+           z2.scale(Fraction(1, 120)) + z4.scale(Fraction(1, 4)) + z6
+           + Fraction(-1, 60480))
+    # at order 0 the printed display agrees, so the note depends on the order
     display = z2 + z4.scale(Fraction(1, 6)) + Fraction(1, 1440)
-    note = ""
     if g4.first_mismatch(display):
-        note = ("; note: the printed G4 display swaps the Z(2)/Z(4) "
+        return ("; note: the printed G4 display swaps the Z(2)/Z(4) "
                 "coefficients (true: 1/1440 + (1/6)Z(2) + Z(4))")
-    return CheckResult("eisenstein_conversion", True, order,
-                       "G2/G4/G6 conversions incl. constant terms" + note)
 
 
-def check_dz3(order=40):
+@registered("dz3", 40, 1, "q d/dq Z(3) = 5Z(5) - 4Z(3,2) - 6Z(2,3) + Z(3)")
+def check_dz3(order):
     lhs = z_series((3,), order).q_derivative()
     rhs = z_series((5,), order).scale(5) - z_series((3, 2), order).scale(4) \
         - z_series((2, 3), order).scale(6) + z_series((3,), order)
-    return _series_check("dz3", order, lhs, rhs,
-                         "q d/dq Z(3) = 5Z(5) - 4Z(3,2) - 6Z(2,3) + Z(3)")
+    yield "", lhs, rhs
 
 
-def check_bra1cor4(order=50):
+@registered("bra1cor4", 50, 2, "chain double sum vs single cubic-pole sum")
+def check_bra1cor4(order):
     lhs = QSeries.zero(order)
     for n1 in range(2, order + 1):
         inner = QSeries.zero(order)
@@ -315,21 +315,18 @@ def check_bra1cor4(order=50):
         if 2 * n > order:
             break
         rhs = rhs + lambert_term(2 * n, n, 3, order=order)
-    return _series_check("bra1cor4", order, lhs, rhs,
-                         "chain double sum vs single cubic-pole sum")
+    yield "", lhs, rhs
 
 
-def check_qiqj(order=40):
+@registered("qiqj", 40, 0, "partial-fraction split, i,j <= 6")
+def check_qiqj(order):
     for i in range(1, 7):
         for j in range(1, 7):
             lhs = lambert_term(0, i, 1, order=order) * lambert_term(0, j, 1, order=order)
             rhs = (lambert_term(0, i, 1, order=order)
                    + lambert_term(j, j, 1, order=order)) \
                 * lambert_term(0, i + j, 1, order=order)
-            mm = lhs.first_mismatch(rhs)
-            if mm:
-                return CheckResult("qiqj", False, order, f"i={i} j={j}", mm)
-    return CheckResult("qiqj", True, order, "partial-fraction split, i,j <= 6")
+            yield f"i={i} j={j}", lhs, rhs
 
 
 def _trala_cases(i, j, order):
@@ -350,31 +347,26 @@ def _trala_cases(i, j, order):
     )
 
 
-def check_trala_suite(order=20):
+@registered("trala_suite", 20, 0,
+            "eight scalar closed forms, both engines, i,j <= 4")
+def check_trala_suite(order):
     reducer = euler_pow(1, order)
     # the empty word: Tr q^n is the inverse Euler product, reduced to 1
-    if equiv_trace((), order).first_mismatch(QSeries.one(order)):
-        return CheckResult("trala_suite", False, order, "empty word, recursive")
-    if fock_trace_bruteforce((), order).first_mismatch(euler_pow(-1, order)):
-        return CheckResult("trala_suite", False, order, "empty word, brute force")
+    yield "empty word, recursive", equiv_trace((), order), QSeries.one(order)
+    yield ("empty word, brute force", fock_trace_bruteforce((), order),
+           euler_pow(-1, order))
     for i in range(1, 5):
         for j in range(1, 5):
             for parts, want in _trala_cases(i, j, order):
-                rec = equiv_trace(parts, order)
-                mm = rec.first_mismatch(want)
-                if mm:
-                    return CheckResult("trala_suite", False, order,
-                                       f"recursive engine, word {parts}", mm)
-                brute = fock_trace_bruteforce(parts, order) * reducer
-                mm = brute.first_mismatch(want)
-                if mm:
-                    return CheckResult("trala_suite", False, order,
-                                       f"brute-force engine, word {parts}", mm)
-    return CheckResult("trala_suite", True, order,
-                       "eight scalar closed forms, both engines, i,j <= 4")
+                yield (f"recursive engine, word {parts}",
+                       equiv_trace(parts, order), want)
+                yield (f"brute-force engine, word {parts}",
+                       fock_trace_bruteforce(parts, order) * reducer, want)
 
 
-def check_tracei1Xj1X(order=20):
+@registered("tracei1Xj1X", 20, 0,
+            "two-operator and grouped diagonal traces, i <= 4")
+def check_tracei1Xj1X(order):
     surf = standard_surface()
     R = surf.ring
     one, l1, l2 = surf.one(), surf.divisor("L1"), surf.divisor("L2")
@@ -390,15 +382,11 @@ def check_tracei1Xj1X(order=20):
             ([DecoratedOp((i, -i), one)], lam(0, i, 1).scale(chi * Fraction(-i))),
         )
         for word, want in cases:
-            got = trace_product(word, surf, order)
-            mm = got.first_mismatch(want)
-            if mm:
-                return CheckResult("tracei1Xj1X", False, order, f"i={i}", mm)
-    return CheckResult("tracei1Xj1X", True, order,
-                       "two-operator and grouped diagonal traces, i <= 4")
+            yield f"i={i}", trace_product(word, surf, order), want
 
 
-def check_trij1Xij1X(order=20):
+@registered("trij1Xij1X", 20, 0, "four-operator grouped traces")
+def check_trij1Xij1X(order):
     surf = standard_surface()
     R = surf.ring
     one = surf.one()
@@ -418,73 +406,52 @@ def check_trij1Xij1X(order=20):
                  (lam(i, i, 1) * lam(j, j, 1)).scale(chi * Fraction((1 + d) * i * j))),
             )
             for word, want in cases:
-                got = trace_product(word, surf, order)
-                mm = got.first_mismatch(want)
-                if mm:
-                    return CheckResult("trij1Xij1X", False, order, f"i={i} j={j}", mm)
-    return CheckResult("trij1Xij1X", True, order, "four-operator grouped traces")
+                yield f"i={i} j={j}", trace_product(word, surf, order), want
 
 
-def check_gamma_comm(order=10):
+@registered("gamma_comm", 10, 0,
+            "half-vertex commutation, pairings {0, 1, 2, -1}, window 6")
+def check_gamma_comm(order):
     for pairing in (0, 1, 2, -1):
-        if not gamma_commutation_check(pairing, order, window=6):
-            return CheckResult("gamma_comm", False, order, f"pairing {pairing}")
-    return CheckResult("gamma_comm", True, order,
-                       "half-vertex commutation, pairings {0, 1, 2, -1}, window 6")
+        yield (f"pairing {pairing}",
+               gamma_commutation_check(pairing, order, window=6), True)
 
 
-def check_str_gk_k1(order=8):
-    ops = dict()
-    for c, parts in equiv_chern_op(1, order):
-        ops[parts] = c
+@registered("str_gk_k1", 8, 2, "index-1 operator = normalized length-3 sum")
+def check_str_gk_k1(order):
+    ops = {parts: c for c, parts in equiv_chern_op(1, order)}
     for parts in _zero_weight_partitions(3, order):
         c = ops.get(parts, Fraction(0))
         if len(parts) == 3:
             want = Fraction(1, GenPartition(parts).symmetry_factorial)
-            if c != want:
-                return CheckResult("str_gk_k1", False, order,
-                                   f"{parts}: got {c}, want {want}")
-        elif c:
-            return CheckResult("str_gk_k1", False, order,
-                               f"unexpected term at {parts}: {c}")
-    if equiv_chern_coefficient((-1, 1), 0) != 1:
-        return CheckResult("str_gk_k1", False, order, "k=0 pair coefficient")
-    return CheckResult("str_gk_k1", True, order,
-                       "index-1 operator = normalized length-3 sum")
+            yield f"{parts}: got {c}, want {want}", c, want
+        else:
+            yield f"unexpected term at {parts}: {c}", c, 0
+    yield "k=0 pair coefficient", equiv_chern_coefficient((-1, 1), 0), 1
 
 
-def check_equiv_kodd_vanishing(order=20):
+@registered("equiv_kodd_vanishing", 20, 2,
+            "single odd-index operator traces vanish, m in {0,1,2}")
+def check_equiv_kodd_vanishing(order):
     ops = equiv_chern_op(1, order)
     for m in (0, 1, 2):
-        if not gamma_trace_sum(m, [ops], order).is_zero():
-            return CheckResult("equiv_kodd_vanishing", False, order, f"m={m}")
-    return CheckResult("equiv_kodd_vanishing", True, order,
-                       "single odd-index operator traces vanish, m in {0,1,2}")
+        yield f"m={m}", gamma_trace_sum(m, [ops], order), QSeries.zero(order)
 
 
-_H_GOLDEN_Q7 = [0, 0, 2, 16, 60, 160, 360, 672]
+_H_GOLDEN_Q7 = QSeries([0, 0, 2, 16, 60, 160, 360, 672], order=7)
 
 
-def check_h11_direct_vs_decomp(order=30):
+@registered("h11_direct_vs_decomp", 30, 17,
+            "components decompose at weight 6 and match closed forms")
+def check_h11_direct_vs_decomp(order):
     from .qmforms import decompose
-    h0 = _h_component(0, order)
-    for n, c in enumerate(_H_GOLDEN_Q7):
-        if h0.coeffs[n] != c:
-            return CheckResult("h11_direct_vs_decomp", False, order,
-                               "h0 golden coefficients", (n, h0.coeffs[n], c))
+    yield ("h0 golden coefficients", _h_component(0, order).truncate(7),
+           _H_GOLDEN_Q7)
     for tag in (0, 2, 4):
         h = _h_component(tag, order)
         dec = decompose(h, 6, order)
-        if not dec:
-            return CheckResult("h11_direct_vs_decomp", False, order,
-                               f"h{tag} not quasi-modular of weight <= 6: {dec}")
-        closed = h_component_closed_form(tag, order)
-        mm = h.first_mismatch(closed)
-        if mm:
-            return CheckResult("h11_direct_vs_decomp", False, order,
-                               f"h{tag} closed form", mm)
-    return CheckResult("h11_direct_vs_decomp", True, order,
-                       "components decompose at weight 6 and match closed forms")
+        yield f"h{tag} not quasi-modular of weight <= 6: {dec}", bool(dec), True
+        yield f"h{tag} closed form", h, h_component_closed_form(tag, order)
 
 
 # exponent triples (a, b, c) of Z(2)^a Z(4)^b Z(6)^c
@@ -493,88 +460,74 @@ _PROP_H0 = {(2, 0, 0): Fraction(1), (0, 1, 0): Fraction(1),
             (0, 0, 1): Fraction(14, 3)}
 
 
-def check_prop_h11024(order=30):
+@registered("prop_h11024", 30, 17,
+            "h0 matches the printed coefficients exactly; h2 and h4 equal the "
+            "NEGATIVES of the printed component formulas (printed signs are "
+            "inconsistent with the defining sums, confirmed by brute-force traces)")
+def check_prop_h11024(order):
     from .qmforms import decompose
-    h0 = decompose(_h_component(0, order), 6, order)
-    if not h0 or h0.coeffs != _PROP_H0:
-        return CheckResult("prop_h11024", False, order,
-                           f"h0 decomposition: {h0}")
-    h2 = decompose(_h_component(2, order), 6, order)
-    h4 = decompose(_h_component(4, order), 6, order)
-    want2 = {m: c * Fraction(-5, 4) for m, c in _PROP_H0.items()}
-    want4 = {m: c * Fraction(1, 4) for m, c in _PROP_H0.items()}
-    if not h2 or h2.coeffs != want2:
-        return CheckResult("prop_h11024", False, order, f"h2 decomposition: {h2}")
-    if not h4 or h4.coeffs != want4:
-        return CheckResult("prop_h11024", False, order, f"h4 decomposition: {h4}")
-    return CheckResult(
-        "prop_h11024", True, order,
-        "h0 matches the printed coefficients exactly; h2 and h4 equal the "
-        "NEGATIVES of the printed component formulas (printed signs are "
-        "inconsistent with the defining sums, confirmed by brute-force traces)")
+    for tag, factor in ((0, 1), (2, Fraction(-5, 4)), (4, Fraction(1, 4))):
+        dec = decompose(_h_component(tag, order), 6, order)
+        yield (f"h{tag} decomposition: {dec}", dec.coeffs if dec else None,
+               {m: c * factor for m, c in _PROP_H0.items()})
 
 
-def check_corollary_h11024_discrepancy(order=30):
-    h0 = _h_component(0, order)
-    h2 = _h_component(2, order)
-    h4 = _h_component(4, order)
-    rel_true = ((h0 - h2.scale(Fraction(-4, 5))).is_zero()
-                and (h0 - h4.scale(4)).is_zero())
+@registered("corollary_h11024_discrepancy", 30, 2,
+            "true chain: h0 = -(4/5) h2 = 4 h4")
+def check_corollary_h11024_discrepancy(order):
+    h0, h2, h4 = (_h_component(tag, order) for tag in (0, 2, 4))
+    yield "h0 = -(4/5) h2", h0, h2.scale(Fraction(-4, 5))
+    yield "h0 = 4 h4", h0, h4.scale(4)
     printed = ((h0 - h4.scale(Fraction(4, 5))).is_zero()
                and (h0 - h2.scale(-4)).is_zero())
     swapped = ((h0 - h2.scale(Fraction(4, 5))).is_zero()
                and (h0 - h4.scale(-4)).is_zero())
-    detail = ("true chain: h0 = -(4/5) h2 = 4 h4; "
-              f"printed corollary chain (h0 = (4/5)h4 = -4h2) holds: {printed}; "
-              f"proposition-implied chain (h0 = (4/5)h2 = -4h4) holds: {swapped}")
-    return CheckResult("corollary_h11024_discrepancy", rel_true, order, detail)
+    return (f"; printed corollary chain (h0 = (4/5)h4 = -4h2) holds: {printed}; "
+            f"proposition-implied chain (h0 = (4/5)h2 = -4h4) holds: {swapped}")
 
 
-def check_lemma_f00(order=25):
+@registered("lemma_f00", 25, 1,
+            "L1L2-coefficient is q d/dq Z(2) = Z(2) + 5Z(4) - 2Z(2)^2; the printed "
+            "closed form (7/2)Z(4) - (1/2)Z(2)^2 + Z(2) differs from the lemma's "
+            "own derived sum starting at q^3")
+def check_lemma_f00(order):
     surf = standard_surface()
     got = f_series_reduced(FSeriesSpec(
         ((0, surf.divisor("L1")), (0, surf.divisor("L2"))), surf, order))
-    want = f00_expected(surf, order)
-    res = _series_check(
-        "lemma_f00", order, got, want,
-        "L1L2-coefficient is q d/dq Z(2) = Z(2) + 5Z(4) - 2Z(2)^2; the printed "
-        "closed form (7/2)Z(4) - (1/2)Z(2)^2 + Z(2) differs from the lemma's "
-        "own derived sum starting at q^3")
-    return res
+    yield "", got, f00_expected(surf, order)
 
 
-def check_lemma_f101(order=20):
+@registered("lemma_f101", 20, 2, "index-(1,0) two-point lemma as printed")
+def check_lemma_f101(order):
     surf = standard_surface()
     got = f_series_reduced(FSeriesSpec(
         ((1, surf.one()), (0, surf.divisor("L1"))), surf, order))
-    want = f10_expected(surf, "L1", order)
-    return _series_check("lemma_f101", order, got, want,
-                         "index-(1,0) two-point lemma as printed")
+    yield "", got, f10_expected(surf, "L1", order)
 
 
-def f111_component_check(order=12):
+@registered("lemma_f111", 12, 2,
+            "index-(1,1) two-point lemma with components from the defining sums")
+def f111_component_check(order):
     surf = standard_surface()
     got = f_series_reduced(FSeriesSpec(((1, surf.one()), (1, surf.one())),
                                        surf, order))
-    want = f11_expected(surf, order)
-    return _series_check(
-        "lemma_f111", order, got, want,
-        "index-(1,1) two-point lemma with components from the defining sums")
+    yield "", got, f11_expected(surf, order)
 
 
-def check_theorem_main(order=12):
+@registered("theorem_main", 12, 1,
+            "full surface two-point theorem assembled from the verified lemmas; "
+            "the printed display's chi-coefficient and quasi-modular K^2-tail "
+            "carry the sign-flipped component values and its L1L2-coefficient "
+            "is the typo'd closed form (see lemma_f00)")
+def check_theorem_main(order):
     surf = standard_surface()
-    got = ch1ch1_reduced(surf, order)
-    want = ch1ch1_expected(surf, order)
-    return _series_check(
-        "theorem_main", order, got, want,
-        "full surface two-point theorem assembled from the verified lemmas; "
-        "the printed display's chi-coefficient and quasi-modular K^2-tail "
-        "carry the sign-flipped component values and its L1L2-coefficient "
-        "is the typo'd closed form (see lemma_f00)")
+    yield "", ch1ch1_reduced(surf, order), ch1ch1_expected(surf, order)
 
 
-def check_theorem_K_trivial(order=20):
+@registered("theorem_K_trivial", 20, 1,
+            "numerically trivial K: (Z(2) + 5Z(4) - 2Z(2)^2) <L1,L2> + h2 chi, "
+            "both quasi-modular of weight <= 6, verifying the conjecture")
+def check_theorem_K_trivial(order):
     surf = standard_surface(K_trivial=True)
     got = ch1ch1_reduced(surf, order)
     R = surf.ring
@@ -582,41 +535,7 @@ def check_theorem_K_trivial(order=20):
     l1l2 = surf.divisor("L1").pair(surf.divisor("L2"))
     want = z2.q_derivative().lift(R).scale(l1l2) \
         + _h_component(2, order).lift(R).scale(surf.chi)
-    res = _series_check(
-        "theorem_K_trivial", order, got, want,
-        "numerically trivial K: (Z(2) + 5Z(4) - 2Z(2)^2) <L1,L2> + h2 chi, "
-        "both quasi-modular of weight <= 6, verifying the conjecture")
-    return res
-
-
-# name -> (check, default order, lowest order).  The lowest order is the
-# least at which the check runs to a verdict and compares at least one nonzero
-# coefficient (for equiv_kodd_vanishing: sums at least one nonzero trace), so
-# that no order accepted by run_checks can pass vacuously.
-CHECKS = {
-    "euler_partition_oracle": (check_euler_partition_oracle, 50, 0),
-    "bracket_defs": (check_bracket_defs, 40, 1),
-    "okounkov_defs": (check_okounkov_defs, 40, 1),
-    "bk3_2_6": (check_bk3_2_6, 40, 1),
-    "eisenstein_conversion": (check_eisenstein_conversion, 40, 0),
-    "dz3": (check_dz3, 40, 1),
-    "bra1cor4": (check_bra1cor4, 50, 2),
-    "qiqj": (check_qiqj, 40, 0),
-    "trala_suite": (check_trala_suite, 20, 0),
-    "tracei1Xj1X": (check_tracei1Xj1X, 20, 0),
-    "trij1Xij1X": (check_trij1Xij1X, 20, 0),
-    "gamma_comm": (check_gamma_comm, 10, 0),
-    "str_gk_k1": (check_str_gk_k1, 8, 2),
-    "equiv_kodd_vanishing": (check_equiv_kodd_vanishing, 20, 2),
-    "h11_direct_vs_decomp": (check_h11_direct_vs_decomp, 30, 17),
-    "prop_h11024": (check_prop_h11024, 30, 17),
-    "corollary_h11024_discrepancy": (check_corollary_h11024_discrepancy, 30, 2),
-    "lemma_f00": (check_lemma_f00, 25, 1),
-    "lemma_f101": (check_lemma_f101, 20, 2),
-    "lemma_f111": (f111_component_check, 12, 2),
-    "theorem_main": (check_theorem_main, 12, 1),
-    "theorem_K_trivial": (check_theorem_K_trivial, 20, 1),
-}
+    yield "", got, want
 
 
 def run_checks(names="all", order=None):

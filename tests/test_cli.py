@@ -321,6 +321,43 @@ class TestFailureModes:
         assert data[0]["detail"] == "ValueError: boom second line"
         assert data[0]["order"] == 10
 
+    def test_failing_check_reports_its_case_and_the_run_goes_on(self, capsys,
+                                                                monkeypatch):
+        import qzeta.pipeline as pipeline
+        monkeypatch.setattr(pipeline, "CHECKS", dict(pipeline.CHECKS))
+
+        @pipeline.registered("dz3", 40, 1, "pass detail")
+        def differs_at_q3(order):
+            z2 = z_series((2,), order)
+            yield "first case", z2, z2
+            yield "second case", z2, z2 + QSeries([0, 0, 0, 1], order=order)
+            yield "third case", z2, -z2
+
+        code = main(["verify", "--check", "dz3,bk3_2_6", "--order", "10",
+                     "--json"])
+        out = capsys.readouterr().out
+        assert code == 1
+        data = json.loads(out)
+        assert [d["status"] for d in data] == ["fail", "pass"]
+        assert data[0]["detail"] == "second case"
+        assert data[0]["mismatch"]["degree"] == 3
+
+    @pytest.mark.parametrize("argv", [
+        ["expand", "Z(2)"], ["decompose", "Z(2)"], ["trace", "a[-1,1](1X)"]])
+    def test_order_too_large_to_allocate_exit_2(self, capsys, argv):
+        # 2**62 fails while sizing the first coefficient list: nothing is
+        # allocated, and before it escaped as a MemoryError traceback
+        order = str(2 ** 62)
+        code, err = self.run_main(capsys, *argv, "--order", order)
+        assert code == 2
+        assert err == f"error: order {order} is too large to allocate\n"
+
+    def test_order_too_large_to_allocate_is_a_check_error(self, capsys):
+        code = main(["verify", "--check", "dz3", "--order", str(2 ** 62)])
+        out = capsys.readouterr().out
+        assert code == 3
+        assert out.startswith("ERROR\tdz3\t")
+
 
 class TestParserReuse:
     REQUESTS = (["expand", "Z(2)", "--order", "5"],  # valid

@@ -1,5 +1,7 @@
 """Assembled series, registry checks, and cross-route consistency."""
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +15,7 @@ from qzeta.pipeline import (CHECKS, FSeriesSpec, ch1ch1_reduced, equiv_ch1ch1,
                             run_checks, standard_surface)
 
 F = Fraction
+GOLDEN_LOWEST_ORDER = Path(__file__).with_name("golden_lowest_order.json")
 
 
 def swap_l1_l2(series):
@@ -145,6 +148,10 @@ class TestContractionTables:
         del groups[:]
         equiv_ch1ch1(2, order)
         assert len(groups) == len(equiv_chern_op(1, order))
+        # the two-point series builds one table per ch1(L_i) expansion
+        del groups[:]
+        ch1ch1_reduced(surf, order)
+        assert len(groups) == 2 * len(g1) + 2 * len(g0)
 
     def test_word_of_nonzero_weight_traces_to_zero(self):
         surf = SurfaceModel()
@@ -269,10 +276,14 @@ class TestRegistry:
         assert [r.name for r in results] == names
 
     def test_every_check_passes_at_its_lowest_order(self):
-        for name, (_, default_order, min_order) in CHECKS.items():
+        # the golden reports pin each detail, including order-dependent notes
+        golden = json.loads(GOLDEN_LOWEST_ORDER.read_text())
+        assert [g["name"] for g in golden] == list(CHECKS)
+        for want, (name, (_, default_order, min_order)) in zip(golden, CHECKS.items()):
             assert min_order <= default_order, name
             r = run_checks([name], order=min_order)[0]
             assert r.passed and r.order == min_order, name
+            assert r.to_json_dict() == want, name
             with pytest.raises(ValueError, match=name):
                 run_checks([name], order=min_order - 1)
 
@@ -297,7 +308,7 @@ class TestRegistry:
 
     def test_checks_leave_no_engine_alive(self):
         # a long-lived process that sweeps orders must not keep every
-        # surface, its F-series cache and its engines
+        # surface and its engines
         import gc
         from qzeta.fock import SurfaceTraceEngine
 
