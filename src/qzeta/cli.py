@@ -449,7 +449,12 @@ def cmd_decompose(args, out):
 
 
 def cmd_trace(args, out):
-    chi = None if args.chi == "sym" else int(args.chi)
+    chi = None
+    if args.chi != "sym":
+        try:
+            chi = int(args.chi)
+        except ValueError:
+            raise ValueError(f"bad --chi {args.chi!r}: expected 'sym' or an integer") from None
     surface = SurfaceModel(chi=chi, K_trivial=args.K_trivial)
     ops, scale = parse_trace_word(args.word, surface)
     series = trace_product(ops, surface, args.order).scale(scale)

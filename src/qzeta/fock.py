@@ -19,7 +19,8 @@ from functools import lru_cache
 from itertools import product as iproduct
 from math import comb, factorial, perm
 
-from .ring import MPolyRing, QSeries, ZERO, lambert_term
+from .ring import (MPolyRing, QSeries, ZERO, _add_scaled, _divide, _geometric_step,
+                   _lambert_moments, _shift)
 
 
 # -- generalized partitions --------------------------------------------------
@@ -326,7 +327,7 @@ def commutator(left, right):
                 parts = (right.parts[:j]
                          + tuple(x for u, x in enumerate(left.parts) if u != t)
                          + right.parts[j + 1:])
-                out.append((Fraction(-nt), DecoratedOp(parts, klass)))
+                out.append((-nt, DecoratedOp(parts, klass)))
     return out
 
 
@@ -344,9 +345,10 @@ class SurfaceTraceEngine:
 
     The workhorse is the cyclicity recursion: a group of negative total weight
     is moved once around the trace, trading the word for shorter words built
-    from commutators, with geometric-series prefactors.  Words in which every
-    group has weight zero are diagonal in the Fock basis after degree
-    filtering and are evaluated by exact number-operator moments.
+    from commutators: their traces are summed, those from the right of the
+    group shifted by q^n, and the sum is divided once by (1 - q^n).  Words in
+    which every group has weight zero are diagonal in the Fock basis after
+    degree filtering and are evaluated by exact number-operator moments.
     """
 
     def __init__(self, surface, order):
@@ -354,17 +356,6 @@ class SurfaceTraceEngine:
         self.order = order
         self.ring = surface.ring
         self._memo = {}
-        self._geoms = {}
-
-    # cached small series ------------------------------------------------
-
-    def _geom(self, n, shift):
-        """q^shift / (1 - q^n), lifted to the surface coefficient ring."""
-        got = self._geoms.get((n, shift))
-        if got is None:
-            got = self._geoms[n, shift] = lambert_term(
-                shift, n, 1, order=self.order).lift(self.ring)
-        return got
 
     def _zero(self):
         return QSeries.zero(self.order, self.ring)
@@ -412,12 +403,11 @@ class SurfaceTraceEngine:
             return self._all_balanced(word)
 
         n0 = -word[i0].weight
-        acc = self._zero()
+        sums = ({}, {})  # commutator terms left and right of the group
         total_parts = sum(op.length for op in word)
         for r, op in enumerate(word):
             if r == i0:
                 continue
-            pre = self._geom(n0, n0) if r > i0 else self._geom(n0, 0)
             for c, merged in commutator(op, word[i0]):
                 if r > i0:
                     sub = word[:i0] + word[i0 + 1:r] + (merged,) + word[r + 1:]
@@ -427,10 +417,8 @@ class SurfaceTraceEngine:
                 if sum(o.length for o in sub) >= total_parts:
                     raise RuntimeError("trace recursion failed to shrink: "
                                        "malformed word")
-                inner = self.trace(sub)
-                if not inner.is_zero():
-                    acc = acc + (pre * inner).scale(c)
-        return acc
+                _add_scaled(sums[r > i0], self.trace(sub), c)
+        return _geometric_step(*sums, n0, self.order, self.ring)
 
     # words whose groups all have weight zero ------------------------------
 
@@ -474,26 +462,21 @@ class SurfaceTraceEngine:
         for (parts, c) in diag:
             n = parts[1]
             by_mode.setdefault(n, []).append(c)
-        total = self._one()
+        total = None
         for n, cs in sorted(by_mode.items()):
             k = len(cs)
             scalar = self.ring.one
             for c in cs:
-                scalar = scalar * c * Fraction(-n)
-            # E[N_n^k] = sum_j S(k, j) chi (chi+1)...(chi+j-1) v^j,
-            # v = q^n/(1-q^n)
-            moment = self._zero()
-            v = self._geom(n, n)
-            vpow = self._one()
+                scalar = scalar * c * (-n)
+            # E[N_n^k] = sum_{j=1..k} S(k, j) chi (chi+1)...(chi+j-1) q^(nj)/(1-q^n)^j
+            weights = []
             rising = self.ring.one
-            for j in range(k + 1):
-                s = _stirling2(k, j)
-                if s:
-                    moment = moment + vpow.scale(rising * s)
-                vpow = vpow * v
-                rising = rising * (chi + Fraction(j))
-            total = total * moment.scale(scalar)
-        return total
+            for j in range(1, k + 1):
+                rising = rising * (chi + (j - 1))
+                weights.append(rising * (_stirling2(k, j) * scalar))
+            moment = _lambert_moments(weights, n, self.order, self.ring)
+            total = moment if total is None else total * moment
+        return self._one() if total is None else total
 
 
 def _check_surface(ops, surface):
@@ -554,13 +537,12 @@ def _group_removals(parts, order):
                        tuple(sorted(factors.items())), tuple(sorted(remainder)))
 
 
-@lru_cache(maxsize=None)
 def _removal_series_rational(factors, order):
     """Product over modes of q^(n p)/(1-q^n)^(p + p~), as a rational series."""
-    s = QSeries.one(order)
+    nums = [1] + [0] * order
     for n, (p, pt) in factors:
-        s = s * lambert_term(n * p, n, p + pt, order=order)
-    return s
+        nums = _divide(_shift(nums, n * p), n, p + pt)
+    return QSeries.from_numerators(nums, 1, order)
 
 
 def _mode_imbalance(parts):
@@ -765,13 +747,6 @@ class EquivTraceEngine:
     def __init__(self, order):
         self.order = order
         self._memo = {}
-        self._geoms = {}
-
-    def _geom(self, n, shift):
-        got = self._geoms.get((n, shift))
-        if got is None:
-            got = self._geoms[n, shift] = lambert_term(shift, n, 1, order=self.order)
-        return got
 
     def trace(self, parts):
         parts = tuple(parts)
@@ -792,18 +767,17 @@ class EquivTraceEngine:
             return QSeries.zero(self.order)
         i0 = next(i for i, p in enumerate(parts) if p < 0)
         n0 = -parts[i0]
-        acc = QSeries.zero(self.order)
+        sums = ({}, {})  # commutator terms left and right of a_{-n0}
         for r, p in enumerate(parts):
             if r == i0 or p != n0:
                 continue
             # [a_{n0}, a_{-n0}] = n0
-            pre = self._geom(n0, n0) if r > i0 else self._geom(n0, 0)
             if r > i0:
                 sub = parts[:i0] + parts[i0 + 1:r] + parts[r + 1:]
             else:
                 sub = parts[:r] + parts[r + 1:i0] + parts[i0 + 1:]
-            acc = acc + (pre * self.trace(sub)).scale(n0)
-        return acc
+            _add_scaled(sums[r > i0], self.trace(sub), n0)
+        return _geometric_step(*sums, n0, self.order, None)
 
 
 @lru_cache(maxsize=None)

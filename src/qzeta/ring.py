@@ -6,6 +6,7 @@ function, so everything here is safe to share across threads.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import comb, gcd
 from operator import add
 
@@ -280,6 +281,31 @@ def _conv(a, b, n):
     return out
 
 
+def _divide(nums, n, p):
+    """nums / (1 - q^n)^p in place, truncated at len(nums): p strided running sums.
+
+    Each pass takes min(n, len/n) slice operations: one running sum per
+    residue class mod n, or one add of each block of n into the next.
+    """
+    size = len(nums)
+    for _ in range(p):
+        if n * n < size:
+            for r in range(n):
+                nums[r::n] = accumulate(nums[r::n])
+        else:
+            for lo in range(n, size, n):
+                nums[lo: lo + n] = map(add, nums[lo: lo + n], nums[lo - n: lo])
+    return nums
+
+
+def _shift(nums, n):
+    """A new list: q^n nums, truncated at len(nums)."""
+    size = len(nums)
+    if n >= size:
+        return [0] * size
+    return [0] * n + nums[: size - n]
+
+
 def _inverse(nums, den, n):
     """The canonical slice den/F to degree n, F the integer series nums, F_0 != 0.
 
@@ -316,6 +342,39 @@ def _series(order, ring, slices):
     s._slices = slices
     s._coeffs = None
     return s
+
+
+def _add_scaled(acc, s, c):
+    """acc += c * s for an integer c; the accumulator owns every list it holds."""
+    for exps, (nums, den) in s._slices.items():
+        _add_into(acc, exps, [c * x for x in nums], den)
+
+
+def _geometric_step(before, after, n, order, ring):
+    """The series (before + q^n after) / (1 - q^n) of two accumulators.
+
+    One shift and one strided division per slice, however many terms were
+    added into the accumulators.
+    """
+    for exps, (nums, den) in after.items():
+        _add_into(before, exps, _shift(nums, n), den)
+    return _series(order, ring, _finish(
+        {exps: (_divide(nums, n, 1), den) for exps, (nums, den) in before.items()}))
+
+
+def _lambert_moments(weights, n, order, ring):
+    """sum_j weights[j-1] q^(nj) / (1 - q^n)^j over j >= 1, weights MPolys of ring.
+
+    The Lambert numerators of q^(nj)/(1-q^n)^j come from those of j - 1 by
+    one shift and one strided division.
+    """
+    acc = {}
+    lam = [1] + [0] * order
+    for w in weights:
+        lam = _divide(_shift(lam, n), n, 1)
+        for exps, v in w.terms.items():
+            _add_into(acc, exps, [v.numerator * x for x in lam], v.denominator)
+    return _series(order, ring, _finish(acc))
 
 
 def _product(a, b):
@@ -648,27 +707,34 @@ def geometric(m, order, ring=None):
 # -- JSON serialization ---------------------------------------------------
 
 
-def _fraction_to_json(c):
-    return [str(c.numerator), str(c.denominator)]
-
-
 def _fraction_from_json(pair):
     return Fraction(int(pair[0]), int(pair[1]))
+
+
+def _pair_json(x, den):
+    """x/den in lowest terms as ["num", "den"] (decimal strings); den > 0."""
+    g = gcd(x, den)
+    return [str(x // g), str(den // g)]
 
 
 def series_to_json(s):
     """Schema: {"var": "q", "order": N, "coeffs": [...]}.
 
-    A rational coefficient is ["num", "den"] (decimal strings); an MPoly is a
-    list of {"coef": ["num", "den"], "exps": [...]} records in graded-lex order.
+    A rational coefficient is ["num", "den"] (decimal strings, lowest terms);
+    an MPoly is a list of {"coef": ["num", "den"], "exps": [...]} records in
+    graded-lex order.  Both are written from the integer slices.
     """
+    n = s.order + 1
     if s.ring is None:
-        coeffs = [_fraction_to_json(c) for c in s.coeffs]
+        nums, den = s._slices.get((), ([0] * n, 1))
+        coeffs = [_pair_json(x, den) for x in nums]
     else:
-        coeffs = [
-            [{"coef": _fraction_to_json(c), "exps": list(e)} for e, c in p.sorted_terms()]
-            for p in s.coeffs
-        ]
+        coeffs = [[] for _ in range(n)]
+        for exps in sorted(s._slices, key=_grlex_key):
+            nums, den = s._slices[exps]
+            for k, x in enumerate(nums):
+                if x:
+                    coeffs[k].append({"coef": _pair_json(x, den), "exps": list(exps)})
     return {"var": "q", "order": s.order, "coeffs": coeffs}
 
 

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
 from math import comb, factorial, lcm, prod
 from operator import add, mul
 
-from .ring import ONE, ZERO, QSeries, as_fraction
+from .ring import ONE, ZERO, QSeries, _divide, as_fraction
 
 # -- Eulerian polynomials and numerator families ---------------------------
 
@@ -54,23 +53,6 @@ def _zeta_numerator(s):
         return (ZERO,) * (s // 2) + (ONE,)
     h = (s - 1) // 2
     return (ZERO,) * h + (ONE, ONE)
-
-
-def _divide(nums, n, p):
-    """nums / (1 - q^n)^p in place, truncated at len(nums): p strided running sums.
-
-    Each pass takes min(n, len/n) slice operations: one running sum per
-    residue class mod n, or one add of each block of n into the next.
-    """
-    size = len(nums)
-    for _ in range(p):
-        if n * n < size:
-            for r in range(n):
-                nums[r::n] = accumulate(nums[r::n])
-        else:
-            for lo in range(n, size, n):
-                nums[lo: lo + n] = map(add, nums[lo: lo + n], nums[lo - n: lo])
-    return nums
 
 
 def _zq_series(numerators, indices, order):

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -134,6 +135,12 @@ class TestEval:
             done += 1
 
 
+# `trace --json` output: the six word families of the `qseries_session`
+# benchmark workload at orders 14 and 38 on the general and the K-trivial
+# surface, and four longer words with K, e and pt at chi = 5
+GOLDEN_TRACE = Path(__file__).with_name("golden_trace.json")
+
+
 class TestMainInProcess:
     def run_main(self, *argv):
         out = io.StringIO()
@@ -200,6 +207,13 @@ class TestMainInProcess:
         # reduced trace of the grouped pair: -chi q/(1-q) with chi = 24
         coeffs = data["coeffs"]
         assert coeffs[1] == [{"coef": ["-24", "1"], "exps": [0] * 7}]
+
+    def test_trace_golden(self):
+        for entry in json.loads(GOLDEN_TRACE.read_text()):
+            code, out = self.run_main(*entry["argv"])
+            assert code == 0
+            want = json.dumps(entry["output"], sort_keys=True, separators=(",", ":"))
+            assert out == want + "\n", entry["argv"]
 
     def test_json_byte_stable(self):
         args = ("expand", 'sum("h11_0")', "--order", "9", "--json")
@@ -280,6 +294,11 @@ class TestFailureModes:
         gc.collect()
         new = [e for e in live_engines() if not any(e is b for b in before)]
         assert new == []
+
+    def test_trace_bad_chi_exit_2(self, capsys):
+        code, err = self.run_main(capsys, "trace", "a[1](1X) * a[-1](1X)", "--chi", "1.5")
+        assert code == 2
+        assert err == "error: bad --chi '1.5': expected 'sym' or an integer\n"
 
     def test_bad_default_order_env_exit_2(self, capsys, monkeypatch):
         # exit 1 would claim that a check failed

@@ -2,13 +2,14 @@
 import contextlib
 import hashlib
 import io
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qzeta.cli import main
-from qzeta.ring import MPoly, MPolyRing, QSeries, lambert_term
+from qzeta.ring import MPoly, MPolyRing, QSeries, _divide, lambert_term, series_to_json
 
 F = Fraction
 R = MPolyRing(("x", "y"))
@@ -44,7 +45,7 @@ def ref_inverse(a, zero, one):
 fractions = st.one_of(
     st.just(F(0)),
     st.integers(-5, 5).map(F),
-    st.fractions(max_denominator=12).filter(lambda c: abs(c) < 50),
+    st.fractions(min_value=-50, max_value=50, max_denominator=12),
     st.builds(F, st.integers(-10 ** 30, 10 ** 30), st.integers(1, 10 ** 25)),
 )
 exps = st.tuples(st.integers(0, 2), st.integers(0, 2))
@@ -197,6 +198,49 @@ class TestKernelEquality:
         s = QSeries([F(1, 3), 2]) * QSeries([3, F(5, 7)])
         assert s.coeffs is s.coeffs
         assert s.coeffs == (F(1), F(5, 21) + 6)
+
+
+class TestDivide:
+    # (size, n): n * n < size takes running sums per residue class, the rest
+    # block adds; n >= size leaves the list as it is
+    @pytest.mark.parametrize("p", range(4))
+    @pytest.mark.parametrize("size, n", [(20, 1), (20, 3), (20, 4), (20, 5), (20, 7),
+                                         (9, 3), (6, 9)])
+    def test_equals_product_with_lambert_term(self, size, n, p):
+        rng = random.Random(100 * size + 10 * n + p)
+        nums = [rng.randint(-50, 50) for _ in range(size)]
+        want = QSeries([F(x) for x in nums])
+        if p:
+            want = want * lambert_term(0, n, p, order=size - 1)
+        assert [F(x) for x in _divide(list(nums), n, p)] == list(want.coeffs)
+
+
+def ref_series_json(s):
+    """series_to_json built from the Fraction/MPoly coefficient view."""
+    def pair(c):
+        return [str(c.numerator), str(c.denominator)]
+    if s.ring is None:
+        coeffs = [pair(c) for c in s.coeffs]
+    else:
+        coeffs = [[{"coef": pair(c), "exps": list(e)} for e, c in p.sorted_terms()]
+                  for p in s.coeffs]
+    return {"var": "q", "order": s.order, "coeffs": coeffs}
+
+
+class TestSeriesJson:
+    @SETTINGS
+    @given(any_series)
+    def test_equals_coefficient_view(self, s):
+        assert series_to_json(s) == ref_series_json(s)
+
+    def test_zero_negative_and_unreduced(self):
+        # one slice 2/6, -4/6, 3/6, 0: canonical as a whole, not per coefficient
+        s = QSeries.from_numerators([2, -4, 3, 0], 6, 3)
+        assert series_to_json(s)["coeffs"] == [
+            ["1", "3"], ["-2", "3"], ["1", "2"], ["0", "1"]]
+        p = s.lift(R).scale(R.gen("x") - R.gen("y") * F(1, 2))
+        for series in (s, p, QSeries.zero(4), QSeries.zero(4, R), QSeries.zero(0, R)):
+            assert series_to_json(series) == ref_series_json(series)
 
 
 class TestFloatsRefused:

@@ -1,0 +1,45 @@
+"""The benchmark's layer table against the program, and the count of cache sites."""
+import ast
+import importlib
+import re
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+# process-lifetime caches hold their entries until exit; the count may only fall
+MAX_LRU_CACHE_SITES = 10
+
+
+def tracer_layers():
+    """LAYERS of perfbench/tracer.py, read from its source without importing it."""
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        targets = [getattr(t, "id", None) for t in getattr(node, "targets", ())]
+        if targets == ["LAYERS"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/tracer.py defines no LAYERS")
+
+
+@pytest.mark.parametrize("layer, module, attr, kind", tracer_layers())
+def test_every_traced_layer_resolves(layer, module, attr, kind):
+    # the tracer wraps a method found in its class's own __dict__, so an
+    # inherited or deleted one would break a traced benchmark run
+    owner = importlib.import_module(module)
+    if "." in attr:
+        cls_name, name = attr.split(".")
+        namespace = vars(getattr(owner, cls_name))
+        assert name in namespace, f"{layer}: {attr} is not defined in its class"
+        value = namespace[name]
+    else:
+        value = getattr(owner, attr)
+    assert callable(value), layer
+
+
+def test_lru_cache_sites_do_not_grow():
+    use = re.compile(r"@(functools\.)?(lru_cache|cache)\b|\blru_cache\(")
+    sites = [f"{path.name}:{n}"
+             for path in sorted((ROOT / "src" / "qzeta").glob("*.py"))
+             for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+             if use.search(line) and not line.lstrip().startswith(("import", "from"))]
+    assert len(sites) <= MAX_LRU_CACHE_SITES, sites
