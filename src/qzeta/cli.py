@@ -406,8 +406,11 @@ def cmd_expand(args, out):
 def _load_series_argument(text, order):
     """An expression, a path to an expression file, or a path to series JSON."""
     if os.path.exists(text):
-        with open(text, "r", encoding="utf-8") as fh:
-            content = fh.read().strip()
+        try:
+            with open(text, "r", encoding="utf-8") as fh:
+                content = fh.read().strip()
+        except OSError as exc:
+            raise ValueError(f"cannot read {text}: {exc.strerror or exc}") from None
         try:
             data = json.loads(content)
         except json.JSONDecodeError:

@@ -17,10 +17,11 @@ from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
-from math import comb, factorial, perm
+from math import comb, factorial, lcm, perm, prod
+from operator import add
 
-from .ring import (MPolyRing, QSeries, ZERO, _add_scaled, _divide, _geometric_step,
-                   _lambert_moments, _shift)
+from .ring import (MPolyRing, QSeries, ZERO, _add_into, _add_scaled, _conv, _divide,
+                   _finish, _geometric_step, _lambert_moments, _series, _shift)
 
 
 # -- generalized partitions --------------------------------------------------
@@ -533,16 +534,8 @@ def _group_removals(parts, order):
                 remainder.extend([part] * (m - k))
         if qcost > order:
             continue
-        yield _Removal(qcost, balance, npos, ncount, Fraction(coeff),
+        yield _Removal(qcost, balance, npos, ncount, coeff,
                        tuple(sorted(factors.items())), tuple(sorted(remainder)))
-
-
-def _removal_series_rational(factors, order):
-    """Product over modes of q^(n p)/(1-q^n)^(p + p~), as a rational series."""
-    nums = [1] + [0] * order
-    for n, (p, pt) in factors:
-        nums = _divide(_shift(nums, n * p), n, p + pt)
-    return QSeries.from_numerators(nums, 1, order)
 
 
 def _mode_imbalance(parts):
@@ -556,67 +549,89 @@ def _mode_imbalance(parts):
 class _Contraction:
     """One row of a removal table: what an expansion leaves after the vertex.
 
-    `terms` sums coefficient * factor per removal factors over every term and
-    removal option that leave `leftover` with the removed balance `balance`;
-    `qcost` is the least q-valuation among them.  The row's series, the sum of
-    the terms' removal weights, is built on first use.
+    `terms` sums the integer coefficient per removal factors over every term
+    and removal option that leave `leftover` with the removed balance
+    `balance`; `qcost` is the least q-valuation among them and `grades` the
+    degree grades of the leftover.  The row's weight, the numerators of the
+    sum of the terms' removal weights, is built on first use.
     """
 
     __slots__ = ("leftover", "key", "balance", "qcost", "terms", "imbalance",
-                 "_series")
+                 "grades", "_weight")
 
-    def __init__(self, leftover, key, removal):
+    def __init__(self, leftover, key, removal, grades):
         self.leftover = leftover
         self.key = key
         self.balance = removal.balance
         self.qcost = removal.qcost
         self.terms = {}
         self.imbalance = _mode_imbalance(removal.remainder)
-        self._series = None
+        self.grades = grades
+        self._weight = None
 
-    def series(self, order):
-        if self._series is None:
-            self._series = sum((_removal_series_rational(factors, order).scale(c)
-                                for factors, c in self.terms.items() if c),
-                               QSeries.zero(order))
-        return self._series
+    def weight(self, removal_nums):
+        if self._weight is None:
+            self._weight = list(map(sum, zip(*([c * x for x in removal_nums(factors)]
+                                               for factors, c in self.terms.items() if c))))
+        return self._weight
 
 
-def _contract_trace(expansions, order, contract, trace_word, ring=None):
+_BALANCED = frozenset((0,))
+
+
+def _contract_trace(expansions, order, contract, trace_word, ring=None,
+                    grades=lambda leftover: _BALANCED):
     """The removal walker of both settings.
 
     contract(expansion) yields (removal, leftover, leftover key, factor) for
-    every term and kept removal option of one expansion, and
-    trace_word(leftovers) traces a word of leftovers.  Each distinct
-    expansion object is contracted into the vertex once, into a table whose
+    every term and kept removal option of one expansion, given with integer
+    coefficients, and trace_word(leftovers) traces a word of leftovers.  Each
+    distinct expansion object is scaled once to integer coefficients over a
+    common denominator and contracted into the vertex once, into a table whose
     rows are keyed by the leftover and the removed balance (rows whose summed
     coefficients all cancel are dropped).  Tuples of rows are walked with
-    pruning by q-cost, by removed balance, and by the leftover parts, which
-    must pair every mode n with a mode -n for the trace to be nonzero.  Each
+    pruning by q-cost, by removed balance, by the leftover parts, which must
+    pair every mode n with a mode -n for the trace to be nonzero, and by
+    degree: grades(leftover) is the set of 2(length - 2) + d over the degrees
+    d of the leftover's class components, a grade every commutator keeps, so
+    a word traces to zero unless one choice of grades sums to 0.  Each
     distinct leftover word is traced once, and only nonzero traces are
-    multiplied by the rows' removal weights.
+    multiplied by the rows' integer removal weights.
     """
     if not expansions:
         return trace_word(())
-    tables = {}  # id of a distinct expansion -> its rows
+    tables = {}  # id of a distinct expansion -> (its rows, its denominator)
     for expansion in expansions:
         if id(expansion) in tables:
             continue
+        den = lcm(*(c.denominator for c, _ in expansion))
+        scaled = [(c.numerator * (den // c.denominator), item) for c, item in expansion]
         rows = {}
-        for removal, leftover, leftover_key, factor in contract(expansion):
+        for removal, leftover, leftover_key, factor in contract(scaled):
             row = rows.get((leftover_key, removal.balance))
             if row is None:
                 row = rows[leftover_key, removal.balance] = _Contraction(
-                    leftover, leftover_key, removal)
+                    leftover, leftover_key, removal, grades(leftover))
             row.qcost = min(row.qcost, removal.qcost)
             row.terms[removal.factors] = row.terms.get(removal.factors, 0) + factor
-        tables[id(expansion)] = [row for row in rows.values() if any(row.terms.values())]
-    *heads, tail = [tables[id(expansion)] for expansion in expansions]
+        tables[id(expansion)] = [row for row in rows.values() if any(row.terms.values())], den
+    den = prod(tables[id(expansion)][1] for expansion in expansions)
+    *heads, tail = [tables[id(expansion)][0] for expansion in expansions]
     # the last row of a tuple is looked up by the balance and imbalance it cancels
     tails = {}
     for row in tail:
         tails.setdefault((row.balance, row.imbalance), []).append(row)
+    removals = {}  # factors -> numerators of prod q^(n p)/(1-q^n)^(p + p~)
     traced = {}  # leftover word key -> [nonzero trace or None, summed weight]
+
+    def removal_nums(factors):
+        nums = removals.get(factors)
+        if nums is None:
+            nums = [1] + [0] * order
+            for n, (p, pt) in factors:
+                nums = _divide(_shift(nums, n * p), n, p + pt)
+            removals[factors] = nums
+        return nums
 
     def leaf(rows):
         key = tuple(row.key for row in rows)
@@ -626,16 +641,16 @@ def _contract_trace(expansions, order, contract, trace_word, ring=None):
             entry = traced[key] = [None if inner.is_zero() else inner, None]
         if entry[0] is None:
             return
-        weight = rows[0].series(order)
+        weight = rows[0].weight(removal_nums)
         for row in rows[1:]:
-            weight = weight * row.series(order)
-        entry[1] = weight if entry[1] is None else entry[1] + weight
+            weight = _conv(weight, row.weight(removal_nums), order)
+        entry[1] = weight if entry[1] is None else list(map(add, entry[1], weight))
 
-    def walk(i, qcost, balance, imbalance, rows):
+    def walk(i, qcost, balance, imbalance, sums, rows):
         if i == len(heads):
             need = frozenset((n, -k) for n, k in imbalance.items() if k)
             for row in tails.get((-balance, need), ()):
-                if qcost + row.qcost <= order:
+                if qcost + row.qcost <= order and any(-g in row.grades for g in sums):
                     leaf(rows + (row,))
             return
         for row in heads[i]:
@@ -645,15 +660,17 @@ def _contract_trace(expansions, order, contract, trace_word, ring=None):
             sub = Counter(imbalance)
             for n, k in row.imbalance:
                 sub[n] += k
-            walk(i + 1, q, balance + row.balance, sub, rows + (row,))
+            walk(i + 1, q, balance + row.balance, sub,
+                 {g + h for g in sums for h in row.grades}, rows + (row,))
 
-    walk(0, 0, 0, Counter(), ())
+    walk(0, 0, 0, Counter(), _BALANCED, ())
     del walk  # break the walk -> closure -> walk cycle: tables die on return
-    acc = QSeries.zero(order, ring)
+    acc = {}
     for inner, weight in traced.values():
-        if inner is not None and not weight.is_zero():
-            acc = acc + weight.lift(ring) * inner
-    return acc
+        if inner is not None and any(weight):
+            for exps, (nums, d) in inner._slices.items():
+                _add_into(acc, exps, _conv(weight, nums, order), d * den)
+    return _series(order, ring, _finish(acc))
 
 
 def vertex_trace_sum(expansions, surface, order):
@@ -680,8 +697,13 @@ def vertex_trace_sum(expansions, surface, order):
                 yield (removal, leftover, leftover.key(),
                        coeff * removal.comb * (-1) ** npos)
 
+    def grades(op):
+        k = op.klass
+        return frozenset(2 * (op.length - 2) + d for d, part in (
+            (0, not k.deg0.is_zero()), (2, k.deg2), (4, not k.deg4.is_zero())) if part)
+
     return _contract_trace(expansions, order, contract,
-                           surface.engine(order).trace, surface.ring)
+                           surface.engine(order).trace, surface.ring, grades)
 
 
 def vertex_trace(word, surface, order):
@@ -939,8 +961,9 @@ def equiv_chern_op(k, order):
 def gamma_trace_sum(m, expansions, order):
     """Sum of c_1...c_k gamma_trace(m, (p_1, ..., p_k)) over one term per expansion.
 
-    expansions: a list of expansions, each a list of (coefficient, parts
-    tuple) as returned by `equiv_chern_op`, walked by `_contract_trace`.
+    m is an integer.  expansions: a list of expansions, each a list of
+    (coefficient, parts tuple) as returned by `equiv_chern_op`, walked by
+    `_contract_trace`.
     """
     engine = _equiv_engine(order)
 

@@ -514,7 +514,7 @@ def f111_component_check(order):
     yield "", got, f11_expected(surf, order)
 
 
-@registered("theorem_main", 12, 1,
+@registered("theorem_main", 40, 1,
             "full surface two-point theorem assembled from the verified lemmas; "
             "the printed display's chi-coefficient and quasi-modular K^2-tail "
             "carry the sign-flipped component values and its L1L2-coefficient "
@@ -524,7 +524,7 @@ def check_theorem_main(order):
     yield "", ch1ch1_reduced(surf, order), ch1ch1_expected(surf, order)
 
 
-@registered("theorem_K_trivial", 20, 1,
+@registered("theorem_K_trivial", 60, 1,
             "numerically trivial K: (Z(2) + 5Z(4) - 2Z(2)^2) <L1,L2> + h2 chi, "
             "both quasi-modular of weight <= 6, verifying the conjecture")
 def check_theorem_K_trivial(order):

@@ -708,7 +708,18 @@ def geometric(m, order, ring=None):
 
 
 def _fraction_from_json(pair):
-    return Fraction(int(pair[0]), int(pair[1]))
+    """["num", "den"] as a Fraction: two integer strings, den nonzero."""
+    try:
+        if not (isinstance(pair, list) and len(pair) == 2
+                and all(isinstance(x, str) for x in pair)):
+            raise ValueError
+        num, den = int(pair[0]), int(pair[1])
+    except ValueError:
+        raise ValueError('series JSON coefficients must be ["num", "den"] pairs '
+                         'of integer strings') from None
+    if not den:
+        raise ValueError("series JSON coefficients need nonzero denominators")
+    return Fraction(num, den)
 
 
 def _pair_json(x, den):
@@ -739,15 +750,31 @@ def series_to_json(s):
 
 
 def series_from_json(data, ring=None):
-    if data.get("var") != "q":
-        raise ValueError("unsupported series variable")
-    order = data["order"]
+    """The series written by `series_to_json`; ValueError on malformed data.
+
+    order must be an integer >= 0 and coeffs a list of exactly order + 1
+    coefficients, so that a truncated file is refused, never padded.
+    """
+    if not isinstance(data, dict) or data.get("var") != "q":
+        raise ValueError('series JSON must be an object with "var": "q"')
+    order, entries = data.get("order"), data.get("coeffs")
+    if type(order) is not int or order < 0:
+        raise ValueError("series JSON order must be an integer >= 0")
+    if not isinstance(entries, list) or len(entries) != order + 1:
+        raise ValueError(f"series JSON of order {order} needs a list of "
+                         f"{order + 1} coefficients")
     if ring is None:
-        coeffs = [_fraction_from_json(c) for c in data["coeffs"]]
+        coeffs = [_fraction_from_json(c) for c in entries]
     else:
-        coeffs = [
-            MPoly(ring, {tuple(rec["exps"]): _fraction_from_json(rec["coef"])
-                         for rec in entry})
-            for entry in data["coeffs"]
-        ]
+        coeffs = []
+        for entry in entries:
+            if not isinstance(entry, list) or not all(
+                    isinstance(rec, dict) and isinstance(rec.get("exps"), list)
+                    and len(rec["exps"]) == ring.arity
+                    and all(type(e) is int and e >= 0 for e in rec["exps"])
+                    for rec in entry):
+                raise ValueError('series JSON coefficients must be lists of '
+                                 '{"coef", "exps"} records')
+            coeffs.append(MPoly(ring, {tuple(rec["exps"]): _fraction_from_json(rec.get("coef"))
+                                       for rec in entry}))
     return QSeries(coeffs, order=order, ring=ring)

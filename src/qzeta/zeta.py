@@ -297,10 +297,11 @@ def _eval_term(spec, term, order):
     Levels fix indices left to right.  subtree(d, budget) is the sum over
     the indices of levels d.. of the factors completed there, a numerator
     list up to degree budget: the order minus the q-valuation of the
-    factors completed above.  Its value only depends on the fixed values
-    that remaining factors or constraints reference, so the memo is keyed by
-    those and reused when its precision covers the request; equal-sum
-    splittings collapse to one evaluation per shared sum.
+    factors completed above.  Its value only depends on what the remaining
+    factors and constraints read of the fixed values, so the memo is keyed by
+    that and reused when its precision covers the request: a factor that reads
+    i and j only through i + j is keyed by the sum, and equal-sum splittings
+    collapse to one evaluation per shared sum.
     """
     k = spec.nindices
     total = spec._total_exponent(term)
@@ -321,14 +322,27 @@ def _eval_term(spec, term, order):
         sup = f.support()
         completes[max(level_of[i] for i in sup) if sup else 0].append(f)
 
-    # which earlier indices each level's subtree still references
-    relevant = [set() for _ in range(k + 1)]
-    for d in range(k - 1, -1, -1):
-        rel = set(relevant[d + 1])
-        for f in completes[d]:
-            rel.update(f.support())
-        rel.discard(level_order[d])
-        relevant[d] = sorted(rel)
+    # what each level's subtree reads of the indices fixed above it: the
+    # fixed part of every linear form completed there or below, the value of
+    # every index polynomial whose indices are all fixed, and the fixed
+    # indices of the other polynomials
+    reads = []
+    for d in range(k):
+        fixed = set(level_order[:d])
+        forms, polys, raw = [], [], set()
+        for f in (f for fs in completes[d:] for f in fs):
+            for form in (f.num, f.den):
+                part = [(i, c) for i, c in enumerate(form.coeffs) if c and i in fixed]
+                if part:
+                    forms.append(part)
+            if f.poly is None:
+                continue
+            sup = set(f.poly.support())
+            if sup <= fixed:
+                polys.append(f.poly)
+            else:
+                raw |= sup & fixed
+        reads.append((forms, polys, sorted(raw)))
     # least exponent of the indices of levels d.., each >= 1
     min_future = [sum(total.coeffs[i] for i in level_order[d:]) for d in range(k + 1)]
 
@@ -348,7 +362,10 @@ def _eval_term(spec, term, order):
             extra = values[level_order[d - 1]] if d > 0 else None
         else:
             extra = None
-        key = (d, tuple(values[i] for i in relevant[d]), extra)
+        forms, polys, raw = reads[d]
+        key = (d, tuple(sum(c * values[i] for i, c in part) for part in forms),
+               tuple(p.numerator(values) for p in polys),
+               tuple(values[i] for i in raw), extra)
         hit = memo.get(key)
         if hit is not None and len(hit) > budget:
             return hit

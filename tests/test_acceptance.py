@@ -186,7 +186,7 @@ def test_criterion_7_surface_pipeline():
                                        surf, 12))
     assert f11.agrees_with(f11_expected(surf, 12))
 
-    for name, order in (("theorem_main", 12), ("theorem_K_trivial", 20)):
+    for name, order in (("theorem_main", 40), ("theorem_K_trivial", 60)):
         r = run_checks([name])[0]
         assert r.passed and r.order == order, r
 

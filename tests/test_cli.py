@@ -273,6 +273,30 @@ class TestFailureModes:
         assert code == 2
         assert len(err.splitlines()) == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("data", [
+        {"var": "q", "order": 5, "coeffs": [["1", "1"]]},
+        {"var": "q", "order": 1, "coeffs": [["1", "1"], ["0", "1"], ["2", "1"]]},
+        {"var": "q", "order": 1, "coeffs": [["1", "1", "7"], ["0", "1"]]},
+        [["1", "1"], ["0", "1"]],
+        "Z(2)",
+        {"var": "q", "order": 1, "coeffs": {"0": ["1", "1"]}},
+        {"var": "q", "order": 1, "coeffs": [1, 0]},
+        {"var": "q", "order": "1", "coeffs": [["1", "1"], ["0", "1"]]},
+    ], ids=["short coeffs", "long coeffs", "three-element pair", "top-level list",
+            "top-level string", "coeffs not a list", "bare-int coefficients",
+            "string order"])
+    def test_decompose_malformed_series_json_exit_2(self, capsys, tmp_path, data):
+        path = tmp_path / "series.json"
+        path.write_text(json.dumps(data))
+        code, err = self.run_main(capsys, "decompose", str(path), "--order", "1")
+        assert code == 2
+        assert len(err.splitlines()) == 1 and err.startswith("error: series JSON")
+
+    def test_decompose_directory_exit_2(self, capsys, tmp_path):
+        code, err = self.run_main(capsys, "decompose", str(tmp_path), "--order", "1")
+        assert code == 2
+        assert len(err.splitlines()) == 1 and err.startswith("error: cannot read")
+
     def test_deeply_nested_expression_exit_2(self, capsys):
         text = "(" * 2000 + "1" + ")" * 2000
         code, err = self.run_main(capsys, "expand", text)

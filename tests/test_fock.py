@@ -514,6 +514,46 @@ class TestVertexTrace:
         assert a.agrees_with(b)
 
 
+def grade_sums(word):
+    """Every sum over the groups of 2(length - 2) + d, d a degree of its class."""
+    sums = {0}
+    for op in word:
+        sums = {s + 2 * (op.length - 2) + d
+                for s in sums for d, _ in op.klass.homogeneous_parts()}
+    return sums
+
+
+class TestDegreeGrading:
+    """The walker traces no word whose grades cannot sum to 0: the engine gives 0."""
+
+    @pytest.mark.parametrize("K_trivial", [False, True])
+    def test_words_that_cannot_balance_trace_to_zero(self, K_trivial):
+        surf, N = SurfaceModel(K_trivial=K_trivial), 8
+        bases = [surf.one(), surf.canonical(), surf.divisor("L1"), surf.point(),
+                 surf.euler()]
+        classes = [(surf.one_minus_K() ** p) * c for c in bases for p in range(3)]
+        rng = random.Random(17 + K_trivial)
+        rejected = kept_nonzero = 0
+        for _ in range(300):
+            # pairs n, -n spread over the groups: weight zero and every mode paired
+            groups = [[] for _ in range(rng.randint(1, 3))]
+            for _ in range(rng.randint(1, 3)):
+                n = rng.randint(1, 3)
+                rng.choice(groups).append(n)
+                rng.choice(groups).append(-n)
+            word = []
+            for parts in groups:
+                rng.shuffle(parts)
+                word.append(DecoratedOp(parts, rng.choice(classes)))
+            got = trace_product(word, surf, N)
+            if 0 in grade_sums(word):
+                kept_nonzero += not got.is_zero()
+            else:
+                rejected += 1
+                assert got.is_zero(), word
+        assert rejected >= 1 and kept_nonzero >= 1, (rejected, kept_nonzero)
+
+
 class TestInternedClasses:
     """Class ids, memoized class products and shared removal tables."""
 

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from qzeta.ring import MPoly, QSeries, euler_pow
+from qzeta.ring import MPoly, QSeries, euler_pow, series_to_json
 from qzeta.zeta import eval_named, z_series
 from qzeta.fock import (DecoratedOp, SurfaceModel, chern_op, equiv_chern_op,
                         gamma_trace, gamma_trace_sum, vertex_trace)
@@ -16,6 +16,7 @@ from qzeta.pipeline import (CHECKS, FSeriesSpec, ch1ch1_reduced, equiv_ch1ch1,
 
 F = Fraction
 GOLDEN_LOWEST_ORDER = Path(__file__).with_name("golden_lowest_order.json")
+GOLDEN_WALKER = Path(__file__).with_name("golden_walker.json")
 
 
 def swap_l1_l2(series):
@@ -108,6 +109,30 @@ def explicit_term_sum(spec):
     return total
 
 
+def walker_golden_cases():
+    """name -> series JSON of the walker's two-point and three-entry series."""
+    out = {}
+    for K_trivial, order in ((False, 8), (True, 17)):
+        surf = SurfaceModel(K_trivial=K_trivial)
+        one, l1, l2 = surf.one(), surf.divisor("L1"), surf.divisor("L2")
+        for label, entries in (("11", ((1, one), (1, one))),
+                               ("10L1", ((1, one), (0, l1))),
+                               ("10L2", ((1, one), (0, l2))),
+                               ("00", ((0, l1), (0, l2)))):
+            out[f"f{label} K_trivial={K_trivial} order {order}"] = series_to_json(
+                f_series_reduced(FSeriesSpec(entries, surf, order)))
+    surf = SurfaceModel()
+    entries = ((1, surf.one()), (0, surf.divisor("L1")), (1, surf.canonical()))
+    out["f1,0L1,1K order 5"] = series_to_json(
+        f_series_reduced(FSeriesSpec(entries, surf, 5)))
+    for K_trivial in (False, True):
+        out[f"ch1ch1 K_trivial={K_trivial} order 12"] = series_to_json(
+            ch1ch1_reduced(SurfaceModel(K_trivial=K_trivial), 12))
+    for m in range(4):
+        out[f"equiv_ch1ch1 m={m} order 10"] = series_to_json(equiv_ch1ch1(m, 10))
+    return out
+
+
 class TestContractionTables:
     """The contracted F-series equals the per-word vertex traces, exactly."""
 
@@ -152,6 +177,36 @@ class TestContractionTables:
         del groups[:]
         ch1ch1_reduced(surf, order)
         assert len(groups) == 2 * len(g1) + 2 * len(g0)
+
+    def test_words_whose_grades_cannot_balance_are_not_traced(self, monkeypatch):
+        from tests.test_fock import grade_sums
+        surf, order = SurfaceModel(K_trivial=True), 10
+        engine = surf.engine(order)
+        real, words, depth = engine.trace, [], [0]
+
+        def top_level(word):
+            # the walker's calls only, not the engine's recursion
+            if not depth[0]:
+                words.append(word)
+            depth[0] += 1
+            try:
+                return real(word)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(engine, "trace", top_level)
+        f_series_reduced(FSeriesSpec(((1, surf.one()), (1, surf.one())), surf, order))
+        # 486 words reach the engine when every leftover word is traced
+        assert len(words) < 486
+        assert all(0 in grade_sums(word) for word in words)
+
+    def test_walker_golden(self):
+        # every series the removal walker gives here, pinned byte for byte
+        golden = json.loads(GOLDEN_WALKER.read_text())
+        got = walker_golden_cases()
+        assert [g["name"] for g in golden] == list(got)
+        for want in golden:
+            assert got[want["name"]] == want["series"], want["name"]
 
     def test_word_of_nonzero_weight_traces_to_zero(self):
         surf = SurfaceModel()

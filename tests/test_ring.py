@@ -255,6 +255,17 @@ class TestSerialization:
         with pytest.raises(ValueError):
             series_from_json({"var": "t", "order": 1, "coeffs": [["1", "1"]]})
 
+    @pytest.mark.parametrize("data", [
+        {"var": "q", "order": True, "coeffs": [[], []]},
+        {"var": "q", "order": 0, "coeffs": [[{"coef": ["1", "1"], "exps": [1]}]]},
+        {"var": "q", "order": 0, "coeffs": [[{"exps": [1, 0]}]]},
+        {"var": "q", "order": 0, "coeffs": [{"coef": ["1", "1"], "exps": [1, 0]}]},
+    ], ids=["bool order", "short exponent vector", "record without coef",
+            "record not in a list"])
+    def test_malformed_polynomial_json_rejected(self, data):
+        with pytest.raises(ValueError, match="series JSON"):
+            series_from_json(data, ring=MPolyRing(("a", "b")))
+
 
 class TestMisc:
     def test_truncate(self):

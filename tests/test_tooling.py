@@ -1,7 +1,10 @@
-"""The benchmark's layer table against the program, and the count of cache sites."""
+"""The benchmark's layer table and own tests against the program, and the count of cache sites."""
 import ast
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -43,3 +46,13 @@ def test_lru_cache_sites_do_not_grow():
              for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
              if use.search(line) and not line.lstrip().startswith(("import", "from"))]
     assert len(sites) <= MAX_LRU_CACHE_SITES, sites
+
+
+def test_benchmark_own_tests_pass():
+    # the benchmark's references and checks run against this program, so a
+    # change that breaks one of them fails here, not only in a benchmark run
+    done = subprocess.run(
+        [sys.executable, "-m", "unittest", "discover", "-s", "perfbench", "-p", "test_*.py"],
+        cwd=ROOT, capture_output=True, text=True, timeout=600,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
+    assert done.returncode == 0, done.stderr[-2000:]
