@@ -114,7 +114,8 @@ class SurfaceModel:
         self.chi = self.ring.const(chi) if chi is not None else self.ring.gen("chi")
         self._engines = {}
         self._class_ids = {}  # CohClass.key() -> small integer id
-        self._products = {}  # (id, id) -> CohClass product
+        self._classes = []  # id -> the first class given that id
+        self._products = {}  # (id, id) -> id of the product, None if it is zero
 
     def pairing_symbol(self, d1, d2):
         if self.K_trivial and ("K" in (d1, d2)):
@@ -154,13 +155,14 @@ class SurfaceModel:
             return table[name]()
         return self.divisor(name)
 
-    def product(self, a, b):
-        """a * b for classes of this surface, memoized by class ids."""
-        key = (a.id(), b.id())
-        got = self._products.get(key)
-        if got is None:
-            got = self._products[key] = a * b
-        return got
+    def _product_id(self, i, j):
+        """Id of the product of the classes with ids i and j; None if it is zero."""
+        try:
+            return self._products[i, j]
+        except KeyError:
+            klass = self._classes[i] * self._classes[j]
+            got = self._products[i, j] = None if klass.is_zero() else klass.id()
+            return got
 
     def engine(self, order):
         eng = self._engines.get(order)
@@ -257,8 +259,13 @@ class CohClass:
     def id(self):
         """Small integer naming this class in its surface: equal classes, equal ids."""
         if self._id is None:
-            ids = self.surface._class_ids
-            self._id = ids.setdefault(self.key(), len(ids))
+            s = self.surface
+            key = self.key()
+            got = s._class_ids.get(key)
+            if got is None:
+                got = s._class_ids[key] = len(s._classes)
+                s._classes.append(self)
+            self._id = got
         return self._id
 
     def __eq__(self, other):
@@ -294,42 +301,46 @@ class DecoratedOp:
             raise ValueError("the zero mode is not an operator")
         self.klass = klass
 
-    @property
-    def weight(self):
-        return sum(self.parts)
-
-    @property
-    def length(self):
-        return len(self.parts)
-
     def key(self):
+        """The (parts, class id) group the trace engine reads."""
         return (self.parts, self.klass.id())
 
     def __repr__(self):
         return f"a{list(self.parts)}({self.klass!r})"
 
 
-def commutator(left, right):
-    """[a_{n...}(alpha), a_{m...}(beta)] as a list of (coeff, DecoratedOp).
+def _merge(surface, left, right):
+    """[a_left(x), a_right(y)] on (parts, class id) groups, as (coeff, group) pairs.
 
     Each matching pair (n_t, m_j) with n_t = -m_j contributes -n_t times the
     merged group (m_1..m_{j-1}, n's without n_t, m_{j+1}..), decorated by the
     class product; the stated factor order is preserved.
     """
+    (lparts, lid), (rparts, rid) = left, right
     out = []
-    klass = None
-    for t, nt in enumerate(left.parts):
-        for j, mj in enumerate(right.parts):
+    cid = None
+    for t, nt in enumerate(lparts):
+        if -nt not in rparts:
+            continue
+        rest = lparts[:t] + lparts[t + 1:]
+        for j, mj in enumerate(rparts):
             if nt == -mj:
-                if klass is None:
-                    klass = left.klass.surface.product(left.klass, right.klass)
-                    if klass.is_zero():
+                if cid is None:
+                    cid = surface._product_id(lid, rid)
+                    if cid is None:
                         return []
-                parts = (right.parts[:j]
-                         + tuple(x for u, x in enumerate(left.parts) if u != t)
-                         + right.parts[j + 1:])
-                out.append((-nt, DecoratedOp(parts, klass)))
+                out.append((-nt, (rparts[:j] + rest + rparts[j + 1:], cid)))
     return out
+
+
+def commutator(left, right):
+    """[a_{n...}(alpha), a_{m...}(beta)] as a list of (coeff, DecoratedOp).
+
+    The merge rule of the trace engine (see `_merge`), on decorated operators.
+    """
+    surface = left.klass.surface
+    return [(c, DecoratedOp(parts, surface._classes[cid]))
+            for c, (parts, cid) in _merge(surface, left.key(), right.key())]
 
 
 @lru_cache(maxsize=None)
@@ -341,15 +352,51 @@ def _stirling2(n, k):
     return k * _stirling2(n - 1, k) + _stirling2(n - 1, k - 1)
 
 
+def _mode_balanced(parts):
+    """Whether every mode n occurs as often as -n: else the trace is zero."""
+    counts = Counter(parts)
+    return all(counts[n] == counts[-n] for n in counts)
+
+
+def _rotation_memo(word, weights, memo, evaluate, order, ring):
+    """Trace of a mode-balanced word, memoized once per cyclic rotation.
+
+    weights[i] is the weight of word[i].  Cyclicity, Tr q^N P R =
+    q^(-wt P) Tr q^N R P, makes every rotation of the word a shift of one:
+    the rotation of least prefix weight s <= 0, ties broken by least key.
+    Only that rotation is evaluated and memoized; the trace is its entry
+    times q^(-s).
+    """
+    if not word:
+        return QSeries.one(order, ring)
+    best, low, s = word, 0, 0
+    for k in range(1, len(word)):
+        s += weights[k - 1]
+        if s <= low:
+            rot = word[k:] + word[:k]
+            if s < low or rot < best:
+                best, low = rot, s
+    hit = memo.get(best)
+    if hit is None:
+        hit = memo[best] = evaluate(best)
+    if not low or not hit._slices:
+        return hit
+    return _series(order, ring, _finish({exps: (_shift(nums, -low), den)
+                                         for exps, (nums, den) in hit._slices.items()}))
+
+
 class SurfaceTraceEngine:
     """Reduced trace of products of grouped operators against q^(number operator).
 
-    The workhorse is the cyclicity recursion: a group of negative total weight
-    is moved once around the trace, trading the word for shorter words built
-    from commutators: their traces are summed, those from the right of the
-    group shifted by q^n, and the sum is divided once by (1 - q^n).  Words in
-    which every group has weight zero are diagonal in the Fock basis after
-    degree filtering and are evaluated by exact number-operator moments.
+    A word is a sequence of groups, each a (parts, class id) pair of the
+    surface.  The workhorse is the cyclicity recursion: a group of negative
+    total weight is moved once around the trace, trading the word for shorter
+    words built from commutators: their traces are summed, those from the
+    right of the group shifted by q^n, and the sum is divided once by
+    (1 - q^n).  Words in which every group has weight zero are diagonal in
+    the Fock basis after degree filtering and are evaluated by exact
+    number-operator moments.  Each word is memoized under one cyclic rotation
+    (see `_rotation_memo`).
     """
 
     def __init__(self, surface, order):
@@ -367,58 +414,53 @@ class SurfaceTraceEngine:
     # main entry -----------------------------------------------------------
 
     def trace(self, word):
-        """word: sequence of DecoratedOp; returns a reduced QSeries."""
-        scalar = self.ring.one
+        """word: sequence of (parts, class id) groups; returns a reduced QSeries."""
+        classes = self.surface._classes
+        scalar = None
         core = []
-        for op in word:
-            if op.length == 0:
-                scalar = scalar * op.klass.integral()
-                if scalar.is_zero():
-                    return self._zero()
-            else:
-                core.append(op)
-        return self._trace_core(tuple(core)).scale(scalar)
+        for group in word:
+            if group[0]:
+                core.append(group)
+                continue
+            c = classes[group[1]].integral()
+            scalar = c if scalar is None else scalar * c
+            if scalar.is_zero():
+                return self._zero()
+        if not _mode_balanced([p for parts, _ in core for p in parts]):
+            return self._zero()
+        result = self._core(tuple(core))
+        return result if scalar is None else result.scale(scalar)
 
-    def _trace_core(self, word):
-        if not word:
-            return self._one()
-        key = tuple(op.key() for op in word)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        result = self._evaluate(word)
-        self._memo[key] = result
-        return result
+    def _core(self, word):
+        """Trace of a mode-balanced word of nonempty groups."""
+        return _rotation_memo(word, [sum(parts) for parts, _ in word], self._memo,
+                              self._evaluate, self.order, self.ring)
 
     def _evaluate(self, word):
-        if sum(op.weight for op in word) != 0:
-            return self._zero()
-        counts = Counter()
-        for op in word:
-            counts.update(op.parts)
-        if any(counts[n] != counts[-n] for n in counts):
-            return self._zero()
-
-        i0 = next((i for i, op in enumerate(word) if op.weight < 0), None)
+        i0 = next((i for i, (parts, _) in enumerate(word) if sum(parts) < 0), None)
         if i0 is None:
             return self._all_balanced(word)
-
-        n0 = -word[i0].weight
+        group = word[i0]
+        n0 = -sum(group[0])
+        classes = self.surface._classes
         sums = ({}, {})  # commutator terms left and right of the group
-        total_parts = sum(op.length for op in word)
-        for r, op in enumerate(word):
+        for r, other in enumerate(word):
             if r == i0:
                 continue
-            for c, merged in commutator(op, word[i0]):
+            for c, merged in _merge(self.surface, other, group):
+                # every merge drops two parts, so the recursion terminates
                 if r > i0:
-                    sub = word[:i0] + word[i0 + 1:r] + (merged,) + word[r + 1:]
+                    head, tail = word[:i0] + word[i0 + 1:r], word[r + 1:]
                 else:
-                    sub = word[:r] + (merged,) + word[r + 1:i0] + word[i0 + 1:]
-                # termination is structural: every merge drops two parts
-                if sum(o.length for o in sub) >= total_parts:
-                    raise RuntimeError("trace recursion failed to shrink: "
-                                       "malformed word")
-                _add_scaled(sums[r > i0], self.trace(sub), c)
+                    head, tail = word[:r], word[r + 1:i0] + word[i0 + 1:]
+                if merged[0]:
+                    inner = self._core(head + (merged,) + tail)
+                else:
+                    integral = classes[merged[1]].integral()
+                    if integral.is_zero():
+                        continue
+                    inner = self._core(head + tail).scale(integral)
+                _add_scaled(sums[r > i0], inner, c)
         return _geometric_step(*sums, n0, self.order, self.ring)
 
     # words whose groups all have weight zero ------------------------------
@@ -432,18 +474,19 @@ class SurfaceTraceEngine:
         survivors have every group of length 2 with a degree-0 decoration.
         Those act diagonally and are integrated out exactly.
         """
-        choices = [op.klass.homogeneous_parts() for op in word]
+        classes = self.surface._classes
+        choices = [classes[cid].homogeneous_parts() for _, cid in word]
         acc = self._zero()
         for combo in iproduct(*choices):
-            bideg = sum(2 * (op.length - 2) + deg
-                        for op, (deg, _) in zip(word, combo))
+            bideg = sum(2 * (len(parts) - 2) + deg
+                        for (parts, _), (deg, _) in zip(word, combo))
             if bideg != 0:
                 continue
             diag = []
-            for op, (deg, part) in zip(word, combo):
-                if op.length != 2 or deg != 0 or op.parts[0] != -op.parts[1]:
+            for (parts, _), (deg, part) in zip(word, combo):
+                if len(parts) != 2 or deg != 0 or parts[0] != -parts[1]:
                     raise AssertionError("unreachable: non-diagonal balanced word")
-                diag.append((op.parts, part.deg0))
+                diag.append((parts, part.deg0))
             acc = acc + self._diagonal(tuple(diag))
         return acc
 
@@ -490,7 +533,7 @@ def trace_product(word, surface, order):
     """Reduced Tr q^n of a product of grouped operators (no normalization)."""
     word = tuple(word)
     _check_surface(word, surface)
-    return surface.engine(order).trace(word)
+    return surface.engine(order).trace([op.key() for op in word])
 
 
 # -- vertex-operator trace expansion ------------------------------------------
@@ -538,12 +581,21 @@ def _group_removals(parts, order):
                        tuple(sorted(factors.items())), tuple(sorted(remainder)))
 
 
-def _mode_imbalance(parts):
-    """Pairs (n, # of n - # of -n) with n > 0 and a nonzero difference."""
+def _shape(parts):
+    """(mode imbalance, energy floor, weight) of a leftover's parts.
+
+    The imbalance holds the pairs (n, # of n - # of -n) with n > 0 and a
+    nonzero difference.  The floor is the largest running sum of the parts
+    read right to left, from 0: a word reaches no state below that energy,
+    so its trace has at least that q-valuation.
+    """
     imbalance = Counter()
-    for p in parts:
+    run = floor = 0
+    for p in reversed(parts):
         imbalance[abs(p)] += 1 if p > 0 else -1
-    return frozenset((n, k) for n, k in imbalance.items() if k)
+        run += p
+        floor = max(floor, run)
+    return frozenset((n, k) for n, k in imbalance.items() if k), floor, run
 
 
 class _Contraction:
@@ -551,21 +603,22 @@ class _Contraction:
 
     `terms` sums the integer coefficient per removal factors over every term
     and removal option that leave `leftover` with the removed balance
-    `balance`; `qcost` is the least q-valuation among them and `grades` the
-    degree grades of the leftover.  The row's weight, the numerators of the
-    sum of the terms' removal weights, is built on first use.
+    `balance`; `qcost` is the least q-valuation among them, `grades` the
+    degree grades of the leftover, and `imbalance`, `floor` and `total` its
+    parts' shape (see `_shape`).  The row's weight, the numerators of the sum
+    of the terms' removal weights, is built on first use.
     """
 
-    __slots__ = ("leftover", "key", "balance", "qcost", "terms", "imbalance",
-                 "grades", "_weight")
+    __slots__ = ("index", "leftover", "balance", "qcost", "terms", "imbalance",
+                 "floor", "total", "grades", "_weight")
 
-    def __init__(self, leftover, key, removal, grades):
+    def __init__(self, index, leftover, removal, shape, grades):
+        self.index = index
         self.leftover = leftover
-        self.key = key
         self.balance = removal.balance
         self.qcost = removal.qcost
         self.terms = {}
-        self.imbalance = _mode_imbalance(removal.remainder)
+        self.imbalance, self.floor, self.total = shape
         self.grades = grades
         self._weight = None
 
@@ -583,35 +636,43 @@ def _contract_trace(expansions, order, contract, trace_word, ring=None,
                     grades=lambda leftover: _BALANCED):
     """The removal walker of both settings.
 
-    contract(expansion) yields (removal, leftover, leftover key, factor) for
-    every term and kept removal option of one expansion, given with integer
-    coefficients, and trace_word(leftovers) traces a word of leftovers.  Each
-    distinct expansion object is scaled once to integer coefficients over a
-    common denominator and contracted into the vertex once, into a table whose
-    rows are keyed by the leftover and the removed balance (rows whose summed
-    coefficients all cancel are dropped).  Tuples of rows are walked with
-    pruning by q-cost, by removed balance, by the leftover parts, which must
-    pair every mode n with a mode -n for the trace to be nonzero, and by
-    degree: grades(leftover) is the set of 2(length - 2) + d over the degrees
-    d of the leftover's class components, a grade every commutator keeps, so
-    a word traces to zero unless one choice of grades sums to 0.  Each
-    distinct leftover word is traced once, and only nonzero traces are
-    multiplied by the rows' integer removal weights.
+    contract(expansion) yields (removal, leftover, factor) for every term and
+    kept removal option of one expansion, given with integer coefficients,
+    and trace_word(leftovers) traces a word of leftovers; a leftover is
+    hashable and is its own key.  Each distinct expansion object is scaled
+    once to integer coefficients over a common denominator and contracted
+    into the vertex once, into a table whose rows are keyed by the leftover
+    and the removed balance (rows whose summed coefficients all cancel are
+    dropped).  Tuples of rows are walked with pruning by q-cost, by removed
+    balance, by the leftover parts, which must pair every mode n with a mode
+    -n for the trace to be nonzero, and by degree: grades(leftover) is the
+    set of 2(length - 2) + d over the degrees d of the leftover's class
+    components, a grade every commutator keeps, so a word traces to zero
+    unless one choice of grades sums to 0.  A tuple whose q-cost plus its
+    word's energy floor exceeds the order is not traced.  Each distinct
+    leftover word is traced once, and only nonzero traces are multiplied by
+    the rows' integer removal weights.  When one expansion object fills both
+    positions of a two-point walk, each unordered pair of rows is walked
+    once and its weight, the same in both orders, is built once.
     """
     if not expansions:
         return trace_word(())
     tables = {}  # id of a distinct expansion -> (its rows, its denominator)
+    shapes = {}  # leftover parts -> _shape
     for expansion in expansions:
         if id(expansion) in tables:
             continue
         den = lcm(*(c.denominator for c, _ in expansion))
         scaled = [(c.numerator * (den // c.denominator), item) for c, item in expansion]
         rows = {}
-        for removal, leftover, leftover_key, factor in contract(scaled):
-            row = rows.get((leftover_key, removal.balance))
+        for removal, leftover, factor in contract(scaled):
+            row = rows.get((leftover, removal.balance))
             if row is None:
-                row = rows[leftover_key, removal.balance] = _Contraction(
-                    leftover, leftover_key, removal, grades(leftover))
+                shape = shapes.get(removal.remainder)
+                if shape is None:
+                    shape = shapes[removal.remainder] = _shape(removal.remainder)
+                row = rows[leftover, removal.balance] = _Contraction(
+                    len(rows), leftover, removal, shape, grades(leftover))
             row.qcost = min(row.qcost, removal.qcost)
             row.terms[removal.factors] = row.terms.get(removal.factors, 0) + factor
         tables[id(expansion)] = [row for row in rows.values() if any(row.terms.values())], den
@@ -622,7 +683,7 @@ def _contract_trace(expansions, order, contract, trace_word, ring=None,
     for row in tail:
         tails.setdefault((row.balance, row.imbalance), []).append(row)
     removals = {}  # factors -> numerators of prod q^(n p)/(1-q^n)^(p + p~)
-    traced = {}  # leftover word key -> [nonzero trace or None, summed weight]
+    traced = {}  # leftover word -> [nonzero trace or None, summed weight]
 
     def removal_nums(factors):
         nums = removals.get(factors)
@@ -633,25 +694,29 @@ def _contract_trace(expansions, order, contract, trace_word, ring=None,
             removals[factors] = nums
         return nums
 
-    def leaf(rows):
-        key = tuple(row.key for row in rows)
+    def credit(rows, weight):
+        """Add the rows' weight to their word's entry; the weight, if built."""
+        key = tuple(row.leftover for row in rows)
         entry = traced.get(key)
         if entry is None:
-            inner = trace_word([row.leftover for row in rows])
+            inner = trace_word(key)
             entry = traced[key] = [None if inner.is_zero() else inner, None]
         if entry[0] is None:
-            return
-        weight = rows[0].weight(removal_nums)
-        for row in rows[1:]:
-            weight = _conv(weight, row.weight(removal_nums), order)
+            return weight
+        if weight is None:
+            weight = rows[0].weight(removal_nums)
+            for row in rows[1:]:
+                weight = _conv(weight, row.weight(removal_nums), order)
         entry[1] = weight if entry[1] is None else list(map(add, entry[1], weight))
+        return weight
 
-    def walk(i, qcost, balance, imbalance, sums, rows):
+    def walk(i, qcost, balance, imbalance, sums, floor, rows):
         if i == len(heads):
             need = frozenset((n, -k) for n, k in imbalance.items() if k)
             for row in tails.get((-balance, need), ()):
-                if qcost + row.qcost <= order and any(-g in row.grades for g in sums):
-                    leaf(rows + (row,))
+                if (qcost + row.qcost + max(row.floor, row.total + floor) <= order
+                        and any(-g in row.grades for g in sums)):
+                    credit(rows + (row,), None)
             return
         for row in heads[i]:
             q = qcost + row.qcost
@@ -661,9 +726,24 @@ def _contract_trace(expansions, order, contract, trace_word, ring=None,
             for n, k in row.imbalance:
                 sub[n] += k
             walk(i + 1, q, balance + row.balance, sub,
-                 {g + h for g in sums for h in row.grades}, rows + (row,))
+                 {g + h for g in sums for h in row.grades},
+                 max(row.floor, row.total + floor), rows + (row,))
 
-    walk(0, 0, 0, Counter(), _BALANCED, ())
+    if len(expansions) == 2 and expansions[0] is expansions[1]:
+        for row in tail:
+            need = frozenset((n, -k) for n, k in row.imbalance)
+            for other in tails.get((-row.balance, need), ()):
+                q = row.qcost + other.qcost
+                if (other.index < row.index or q > order
+                        or not any(-g in other.grades for g in row.grades)):
+                    continue
+                weight = None
+                if q + max(other.floor, other.total + row.floor) <= order:
+                    weight = credit((row, other), None)
+                if other is not row and q + max(row.floor, row.total + other.floor) <= order:
+                    credit((other, row), weight)
+    else:
+        walk(0, 0, 0, Counter(), _BALANCED, 0, ())
     del walk  # break the walk -> closure -> walk cycle: tables die on return
     acc = {}
     for inner, weight in traced.values():
@@ -677,30 +757,39 @@ def vertex_trace_sum(expansions, surface, order):
     """Sum of c_1...c_k vertex_trace([op_1, ..., op_k]) over one term per expansion.
 
     expansions: a list of operator expansions, each a list of
-    (coefficient, DecoratedOp), walked by `_contract_trace`.
+    (coefficient, DecoratedOp), walked by `_contract_trace` on leftovers that
+    are (parts, class id) groups.
     """
     for expansion in expansions:
         _check_surface((op for _, op in expansion), surface)
+    classes = surface._classes
 
     def contract(expansion):
         one_minus_k = surface.one_minus_K()
-        twists = {}
+        twists = {}  # (class id, removed positives) -> id of the twisted class
         for coeff, op in expansion:
+            cid = op.klass.id()
             for removal in _group_removals(op.parts, order):
-                klass, npos = op.klass, removal.npos
+                twisted, npos = cid, removal.npos
                 if npos:
-                    twist_key = (klass.id(), npos)
-                    klass = twists.get(twist_key)
-                    if klass is None:
-                        klass = twists[twist_key] = (one_minus_k ** npos) * op.klass
-                leftover = DecoratedOp(removal.remainder, klass)
-                yield (removal, leftover, leftover.key(),
+                    twisted = twists.get((cid, npos))
+                    if twisted is None:
+                        twisted = twists[cid, npos] = ((one_minus_k ** npos) * op.klass).id()
+                yield (removal, (removal.remainder, twisted),
                        coeff * removal.comb * (-1) ** npos)
 
-    def grades(op):
-        k = op.klass
-        return frozenset(2 * (op.length - 2) + d for d, part in (
-            (0, not k.deg0.is_zero()), (2, k.deg2), (4, not k.deg4.is_zero())) if part)
+    degrees = {}  # (length, class id) -> grades
+
+    def grades(leftover):
+        parts, cid = leftover
+        got = degrees.get((len(parts), cid))
+        if got is None:
+            k = classes[cid]
+            got = degrees[len(parts), cid] = frozenset(
+                2 * (len(parts) - 2) + d for d, part in (
+                    (0, not k.deg0.is_zero()), (2, k.deg2), (4, not k.deg4.is_zero()))
+                if part)
+        return got
 
     return _contract_trace(expansions, order, contract,
                            surface.engine(order).trace, surface.ring, grades)
@@ -764,7 +853,11 @@ def chern_op(k, klass, surface, order):
 
 
 class EquivTraceEngine:
-    """Reduced scalar traces; words are flat tuples of nonzero parts."""
+    """Reduced scalar traces; words are flat tuples of nonzero parts.
+
+    Each word is memoized under one cyclic rotation of its parts (see
+    `_rotation_memo`).
+    """
 
     def __init__(self, order):
         self.order = order
@@ -772,21 +865,15 @@ class EquivTraceEngine:
 
     def trace(self, parts):
         parts = tuple(parts)
-        if not parts:
-            return QSeries.one(self.order)
-        hit = self._memo.get(parts)
-        if hit is not None:
-            return hit
-        result = self._evaluate(parts)
-        self._memo[parts] = result
-        return result
+        if not _mode_balanced(parts):
+            return QSeries.zero(self.order)
+        return self._core(parts)
+
+    def _core(self, parts):
+        """Trace of a mode-balanced word."""
+        return _rotation_memo(parts, parts, self._memo, self._evaluate, self.order, None)
 
     def _evaluate(self, parts):
-        if sum(parts) != 0:
-            return QSeries.zero(self.order)
-        counts = Counter(parts)
-        if any(counts[n] != counts[-n] for n in counts):
-            return QSeries.zero(self.order)
         i0 = next(i for i, p in enumerate(parts) if p < 0)
         n0 = -parts[i0]
         sums = ({}, {})  # commutator terms left and right of a_{-n0}
@@ -798,7 +885,7 @@ class EquivTraceEngine:
                 sub = parts[:i0] + parts[i0 + 1:r] + parts[r + 1:]
             else:
                 sub = parts[:r] + parts[r + 1:i0] + parts[i0 + 1:]
-            _add_scaled(sums[r > i0], self.trace(sub), n0)
+            _add_scaled(sums[r > i0], self._core(sub), n0)
         return _geometric_step(*sums, n0, self.order, None)
 
 
@@ -972,7 +1059,7 @@ def gamma_trace_sum(m, expansions, order):
             for removal in _group_removals(parts, order):
                 if removal.ncount and not m:
                     continue
-                yield (removal, removal.remainder, removal.remainder,
+                yield (removal, removal.remainder,
                        coeff * removal.comb * (-1) ** (removal.ncount - removal.npos)
                        * m ** removal.ncount)
 

@@ -497,7 +497,7 @@ def check_lemma_f00(order):
     yield "", got, f00_expected(surf, order)
 
 
-@registered("lemma_f101", 20, 2, "index-(1,0) two-point lemma as printed")
+@registered("lemma_f101", 40, 2, "index-(1,0) two-point lemma as printed")
 def check_lemma_f101(order):
     surf = standard_surface()
     got = f_series_reduced(FSeriesSpec(
@@ -505,7 +505,7 @@ def check_lemma_f101(order):
     yield "", got, f10_expected(surf, "L1", order)
 
 
-@registered("lemma_f111", 12, 2,
+@registered("lemma_f111", 30, 2,
             "index-(1,1) two-point lemma with components from the defining sums")
 def f111_component_check(order):
     surf = standard_surface()

@@ -137,7 +137,8 @@ class TestEval:
 
 # `trace --json` output: the six word families of the `qseries_session`
 # benchmark workload at orders 14 and 38 on the general and the K-trivial
-# surface, and four longer words with K, e and pt at chi = 5
+# surface, four longer words with K, e and pt at chi = 5, and every cyclic
+# rotation of eight seeded three-group words at order 16 on both surfaces
 GOLDEN_TRACE = Path(__file__).with_name("golden_trace.json")
 
 

@@ -329,24 +329,84 @@ class TestTraceProperties:
             word.append(DecoratedOp(parts, rng.choice(classes)))
         return word
 
+    def _balanced_word(self, rng, surf):
+        """A word of (parts, class id) groups, every mode n paired with a -n."""
+        classes = [surf.one(), surf.one_minus_K(), surf.divisor("L1"), surf.euler()]
+        groups = [[] for _ in range(rng.randint(2, 4))]
+        for _ in range(rng.randint(2, 4)):
+            n = rng.randint(1, 3)
+            rng.choice(groups).append(n)
+            rng.choice(groups).append(-n)
+        for parts in groups:
+            rng.shuffle(parts)
+        return [(tuple(parts), rng.choice(classes).id()) for parts in groups if parts]
+
+    @staticmethod
+    def _rotations(word, weight):
+        """(prefix weight s, rotation) pairs: Tr word = q^(-s) Tr rotation."""
+        s = 0
+        for k in range(len(word)):
+            yield s, word[k:] + word[:k]
+            s += weight(word[k])
+
+    @staticmethod
+    def _shift_agrees(whole, rotated, s, N, ring=None):
+        """whole = q^(-s) rotated, read in the direction with a nonnegative shift."""
+        if s <= 0:
+            return whole.agrees_with(QSeries.monomial(-s, N, ring=ring) * rotated)
+        return rotated.agrees_with(QSeries.monomial(s, N, ring=ring) * whole)
+
     def test_cyclic_shift(self):
-        # Tr q^n A B = q^weight(B) Tr q^n B A whenever weight(B) >= 0
+        # Tr q^n P R = q^(-weight P) Tr q^n R P for every rotation R P.  Each
+        # rotation is evaluated by the recursion on a fresh engine, so no
+        # memo entry of one rotation stands in for another.
         rng = random.Random(17)
         surf, N = self.surf, self.N
-        tested = 0
-        while tested < 30:
-            word = self._random_word(rng, maxlen=3)
-            if len(word) < 2:
-                continue
-            head, tail = word[0], word[1:]
-            wb = sum(op.weight for op in tail)
-            if wb < 0:
-                continue
-            lhs = trace_product([head] + tail, surf, N)
-            rha = trace_product(tail + [head], surf, N)
-            shifted = QSeries.monomial(wb, N, ring=surf.ring) * rha if wb else rha
-            assert lhs.agrees_with(shifted), word
-            tested += 1
+        nonzero = 0
+        for _ in range(30):
+            word = tuple(self._balanced_word(rng, surf))
+            want = fock.SurfaceTraceEngine(surf, N)._evaluate(word)
+            nonzero += not want.is_zero()
+            for s, rot in self._rotations(word, lambda group: sum(group[0])):
+                got = fock.SurfaceTraceEngine(surf, N)._evaluate(rot)
+                assert self._shift_agrees(want, got, s, N, surf.ring), (word, rot)
+        assert nonzero >= 5, nonzero
+
+    def test_cyclic_shift_equivariant(self):
+        rng = random.Random(19)
+        N = self.N
+        for _ in range(30):
+            modes = [rng.randint(1, 3) for _ in range(rng.randint(1, 4))]
+            word = modes + [-n for n in modes]
+            rng.shuffle(word)
+            word = tuple(word)
+            want = fock.EquivTraceEngine(N)._evaluate(word)
+            assert not want.is_zero(), word
+            for s, rot in self._rotations(word, lambda p: p):
+                got = fock.EquivTraceEngine(N)._evaluate(rot)
+                assert self._shift_agrees(want, got, s, N), rot
+
+    def test_rotations_share_memo_entries(self):
+        # every rotation is memoized under one rotation: tracing all of them
+        # adds as many entries as tracing one
+        rng = random.Random(29)
+        surf, N = self.surf, self.N
+        for _ in range(20):
+            word = tuple(self._balanced_word(rng, surf))
+            one, every = fock.SurfaceTraceEngine(surf, N), fock.SurfaceTraceEngine(surf, N)
+            one.trace(word)
+            for _, rot in self._rotations(word, lambda group: sum(group[0])):
+                every.trace(rot)
+            assert len(every._memo) == len(one._memo) >= 1, word
+            modes = [rng.randint(1, 3) for _ in range(rng.randint(1, 4))]
+            parts = modes + [-n for n in modes]
+            rng.shuffle(parts)
+            parts = tuple(parts)
+            one, every = fock.EquivTraceEngine(N), fock.EquivTraceEngine(N)
+            one.trace(parts)
+            for _, rot in self._rotations(parts, lambda p: p):
+                every.trace(rot)
+            assert len(every._memo) == len(one._memo) >= 1, parts
 
     def test_linearity_in_decorations(self):
         rng = random.Random(23)
@@ -518,7 +578,7 @@ def grade_sums(word):
     """Every sum over the groups of 2(length - 2) + d, d a degree of its class."""
     sums = {0}
     for op in word:
-        sums = {s + 2 * (op.length - 2) + d
+        sums = {s + 2 * (len(op.parts) - 2) + d
                 for s in sums for d, _ in op.klass.homogeneous_parts()}
     return sums
 
@@ -580,9 +640,13 @@ class TestInternedClasses:
     def test_memoized_product(self):
         surf = SurfaceModel()
         a, b = surf.one_minus_K(), surf.divisor("L1")
-        got = surf.product(a, b)
-        assert got == a * b
-        assert surf.product(surf.one_minus_K(), surf.divisor("L1")) is got
+        got = surf._product_id(a.id(), b.id())
+        assert surf._classes[got] == a * b
+        assert surf._products[a.id(), b.id()] == got
+        assert surf._product_id(surf.one_minus_K().id(), surf.divisor("L1").id()) == got
+        pt = surf.point()
+        assert surf._product_id(pt.id(), b.id()) is None
+        assert surf._products[pt.id(), b.id()] is None
 
     @pytest.mark.parametrize("K_trivial", [False, True])
     def test_repeated_expansion_object_or_copy(self, K_trivial):

@@ -185,9 +185,10 @@ class TestContractionTables:
         real, words, depth = engine.trace, [], [0]
 
         def top_level(word):
-            # the walker's calls only, not the engine's recursion
+            # the walker's calls only, not the engine's recursion; the engine
+            # reads (parts, class id) groups
             if not depth[0]:
-                words.append(word)
+                words.append([DecoratedOp(parts, surf._classes[cid]) for parts, cid in word])
             depth[0] += 1
             try:
                 return real(word)
