@@ -1,7 +1,8 @@
 """Heisenberg operators and exact trace engines over Hilbert-scheme Fock spaces.
 
-Two settings share the recursion skeleton but are kept distinct because their
-commutation conventions differ by a sign:
+Two settings run one cyclicity recursion (`_TraceEngine`) and differ in the
+letters of a word and in their commutators, whose conventions differ by a
+sign:
 
 * surface setting: grouped operators a_lambda(alpha) decorated by classes in a
   symbolic surface cohomology model, [a_m(x), a_n(y)] = -m delta_{m,-n} <x,y>;
@@ -49,10 +50,6 @@ class GenPartition:
     def weight(self):
         """Signed size: sum of the parts."""
         return sum(self.parts)
-
-    @property
-    def square_sum(self):
-        return sum(p * p for p in self.parts)
 
     @property
     def symmetry_factorial(self):
@@ -343,66 +340,29 @@ def commutator(left, right):
             for c, (parts, cid) in _merge(surface, left.key(), right.key())]
 
 
-@lru_cache(maxsize=None)
-def _stirling2(n, k):
-    if n == k:
-        return 1
-    if k == 0 or k > n:
-        return 0
-    return k * _stirling2(n - 1, k) + _stirling2(n - 1, k - 1)
-
-
 def _mode_balanced(parts):
     """Whether every mode n occurs as often as -n: else the trace is zero."""
     counts = Counter(parts)
     return all(counts[n] == counts[-n] for n in counts)
 
 
-def _rotation_memo(word, weights, memo, evaluate, order, ring):
-    """Trace of a mode-balanced word, memoized once per cyclic rotation.
+class _TraceEngine:
+    """The cyclicity recursion of both settings, on mode-balanced words.
 
-    weights[i] is the weight of word[i].  Cyclicity, Tr q^N P R =
-    q^(-wt P) Tr q^N R P, makes every rotation of the word a shift of one:
-    the rotation of least prefix weight s <= 0, ties broken by least key.
-    Only that rotation is evaluated and memoized; the trace is its entry
-    times q^(-s).
-    """
-    if not word:
-        return QSeries.one(order, ring)
-    best, low, s = word, 0, 0
-    for k in range(1, len(word)):
-        s += weights[k - 1]
-        if s <= low:
-            rot = word[k:] + word[:k]
-            if s < low or rot < best:
-                best, low = rot, s
-    hit = memo.get(best)
-    if hit is None:
-        hit = memo[best] = evaluate(best)
-    if not low or not hit._slices:
-        return hit
-    return _series(order, ring, _finish({exps: (_shift(nums, -low), den)
-                                         for exps, (nums, den) in hit._slices.items()}))
-
-
-class SurfaceTraceEngine:
-    """Reduced trace of products of grouped operators against q^(number operator).
-
-    A word is a sequence of groups, each a (parts, class id) pair of the
-    surface.  The workhorse is the cyclicity recursion: a group of negative
-    total weight is moved once around the trace, trading the word for shorter
-    words built from commutators: their traces are summed, those from the
-    right of the group shifted by q^n, and the sum is divided once by
-    (1 - q^n).  Words in which every group has weight zero are diagonal in
-    the Fock basis after degree filtering and are evaluated by exact
-    number-operator moments.  Each word is memoized under one cyclic rotation
-    (see `_rotation_memo`).
+    A setting gives `_weights(word)`, the weight of each of the word's
+    letters, and `_contract(other, letter)`, the terms of [other, letter] as
+    (integer coefficient, the letters that replace the pair, a ring scalar
+    or None).  A letter of negative weight -n is moved once around the
+    trace, trading the word for shorter words: their traces are summed, those
+    from the right of the letter shifted by q^n, and the sum is divided once
+    by (1 - q^n).  A word with no letter of negative weight goes to
+    `_all_balanced`; only the surface setting has such words, since a
+    nonempty mode-balanced scalar word has a negative part.
     """
 
-    def __init__(self, surface, order):
-        self.surface = surface
+    def __init__(self, order, ring=None):
         self.order = order
-        self.ring = surface.ring
+        self.ring = ring
         self._memo = {}
 
     def _zero(self):
@@ -410,6 +370,68 @@ class SurfaceTraceEngine:
 
     def _one(self):
         return QSeries.one(self.order, self.ring)
+
+    def _core(self, word):
+        """Trace of a mode-balanced word, memoized once per cyclic rotation.
+
+        Cyclicity, Tr q^N P R = q^(-wt P) Tr q^N R P, makes every rotation of
+        the word a shift of one: the rotation of least prefix weight s <= 0,
+        ties broken by least key.  Only that rotation is evaluated and
+        memoized; the trace is its entry times q^(-s).
+        """
+        if not word:
+            return self._one()
+        weights = self._weights(word)
+        best, low, s = word, 0, 0
+        for k in range(1, len(word)):
+            s += weights[k - 1]
+            if s <= low:
+                rot = word[k:] + word[:k]
+                if s < low or rot < best:
+                    best, low = rot, s
+        hit = self._memo.get(best)
+        if hit is None:
+            hit = self._memo[best] = self._evaluate(best)
+        if not low or not hit._slices:
+            return hit
+        return _series(self.order, self.ring, _finish(
+            {exps: (_shift(nums, -low), den) for exps, (nums, den) in hit._slices.items()}))
+
+    def _evaluate(self, word):
+        weights = self._weights(word)
+        i0 = next((i for i, w in enumerate(weights) if w < 0), None)
+        if i0 is None:
+            return self._all_balanced(word)
+        letter = word[i0]
+        sums = ({}, {})  # commutator terms left and right of the letter
+        for r, other in enumerate(word):
+            if r == i0:
+                continue
+            # every term drops two parts, so the recursion terminates
+            for c, splice, scalar in self._contract(other, letter):
+                if r > i0:
+                    head, tail = word[:i0] + word[i0 + 1:r], word[r + 1:]
+                else:
+                    head, tail = word[:r], word[r + 1:i0] + word[i0 + 1:]
+                inner = self._core(head + splice + tail)
+                _add_scaled(sums[r > i0], inner if scalar is None else inner.scale(scalar), c)
+        return _geometric_step(*sums, -weights[i0], self.order, self.ring)
+
+
+class SurfaceTraceEngine(_TraceEngine):
+    """Reduced trace of products of grouped operators against q^(number operator).
+
+    A word is a sequence of groups, each a (parts, class id) pair of the
+    surface, run by the shared cyclicity recursion of `_TraceEngine`: a
+    group's weight is the sum of its parts, and a commutator is `_merge`,
+    whose merged group, when empty, is its class integral.  Words in which
+    every group has weight zero are diagonal in the Fock basis after degree
+    filtering and are evaluated by exact number-operator moments.
+    """
+
+    def __init__(self, surface, order):
+        super().__init__(order, surface.ring)
+        self.surface = surface
 
     # main entry -----------------------------------------------------------
 
@@ -431,37 +453,18 @@ class SurfaceTraceEngine:
         result = self._core(tuple(core))
         return result if scalar is None else result.scale(scalar)
 
-    def _core(self, word):
-        """Trace of a mode-balanced word of nonempty groups."""
-        return _rotation_memo(word, [sum(parts) for parts, _ in word], self._memo,
-                              self._evaluate, self.order, self.ring)
+    @staticmethod
+    def _weights(word):
+        return [sum(parts) for parts, _ in word]
 
-    def _evaluate(self, word):
-        i0 = next((i for i, (parts, _) in enumerate(word) if sum(parts) < 0), None)
-        if i0 is None:
-            return self._all_balanced(word)
-        group = word[i0]
-        n0 = -sum(group[0])
-        classes = self.surface._classes
-        sums = ({}, {})  # commutator terms left and right of the group
-        for r, other in enumerate(word):
-            if r == i0:
+    def _contract(self, other, group):
+        for c, merged in _merge(self.surface, other, group):
+            if merged[0]:
+                yield c, (merged,), None
                 continue
-            for c, merged in _merge(self.surface, other, group):
-                # every merge drops two parts, so the recursion terminates
-                if r > i0:
-                    head, tail = word[:i0] + word[i0 + 1:r], word[r + 1:]
-                else:
-                    head, tail = word[:r], word[r + 1:i0] + word[i0 + 1:]
-                if merged[0]:
-                    inner = self._core(head + (merged,) + tail)
-                else:
-                    integral = classes[merged[1]].integral()
-                    if integral.is_zero():
-                        continue
-                    inner = self._core(head + tail).scale(integral)
-                _add_scaled(sums[r > i0], inner, c)
-        return _geometric_step(*sums, n0, self.order, self.ring)
+            integral = self.surface._classes[merged[1]].integral()
+            if not integral.is_zero():
+                yield c, (), integral
 
     # words whose groups all have weight zero ------------------------------
 
@@ -513,11 +516,15 @@ class SurfaceTraceEngine:
             for c in cs:
                 scalar = scalar * c * (-n)
             # E[N_n^k] = sum_{j=1..k} S(k, j) chi (chi+1)...(chi+j-1) q^(nj)/(1-q^n)^j
+            stirling = [1]  # S(i, 0..i), by S(i+1, j) = j S(i, j) + S(i, j-1)
+            for _ in range(k):
+                stirling = [j * a + b for j, (a, b)
+                            in enumerate(zip(stirling + [0], [0] + stirling))]
             weights = []
             rising = self.ring.one
             for j in range(1, k + 1):
                 rising = rising * (chi + (j - 1))
-                weights.append(rising * (_stirling2(k, j) * scalar))
+                weights.append(rising * (stirling[j] * scalar))
             moment = _lambert_moments(weights, n, self.order, self.ring)
             total = moment if total is None else total * moment
         return self._one() if total is None else total
@@ -852,41 +859,26 @@ def chern_op(k, klass, surface, order):
 # -- equivariant scalar setting -----------------------------------------------
 
 
-class EquivTraceEngine:
+class EquivTraceEngine(_TraceEngine):
     """Reduced scalar traces; words are flat tuples of nonzero parts.
 
-    Each word is memoized under one cyclic rotation of its parts (see
-    `_rotation_memo`).
+    The shared cyclicity recursion of `_TraceEngine` on single parts: a
+    part's weight is itself, and [a_n, a_{-n}] = n.
     """
-
-    def __init__(self, order):
-        self.order = order
-        self._memo = {}
 
     def trace(self, parts):
         parts = tuple(parts)
         if not _mode_balanced(parts):
-            return QSeries.zero(self.order)
+            return self._zero()
         return self._core(parts)
 
-    def _core(self, parts):
-        """Trace of a mode-balanced word."""
-        return _rotation_memo(parts, parts, self._memo, self._evaluate, self.order, None)
+    @staticmethod
+    def _weights(parts):
+        return parts
 
-    def _evaluate(self, parts):
-        i0 = next(i for i, p in enumerate(parts) if p < 0)
-        n0 = -parts[i0]
-        sums = ({}, {})  # commutator terms left and right of a_{-n0}
-        for r, p in enumerate(parts):
-            if r == i0 or p != n0:
-                continue
-            # [a_{n0}, a_{-n0}] = n0
-            if r > i0:
-                sub = parts[:i0] + parts[i0 + 1:r] + parts[r + 1:]
-            else:
-                sub = parts[:r] + parts[r + 1:i0] + parts[i0 + 1:]
-            _add_scaled(sums[r > i0], self._core(sub), n0)
-        return _geometric_step(*sums, n0, self.order, None)
+    @staticmethod
+    def _contract(p, q):
+        return ((p, (), None),) if p == -q else ()
 
 
 @lru_cache(maxsize=None)

@@ -24,7 +24,6 @@ class TestGenPartition:
         lam = GenPartition((-2, -2, 1, 3))
         assert lam.length == 4
         assert lam.weight == 0
-        assert lam.square_sum == 4 + 4 + 1 + 9
         assert lam.symmetry_factorial == 2
 
     def test_subtraction(self):
@@ -196,6 +195,37 @@ class TestSurfaceTraces:
         e = self.surf.euler()
         got = trace_product([DecoratedOp((), e)], self.surf, self.N)
         assert got.agrees_with(QSeries.one(self.N, self.R).scale(self.surf.chi))
+
+
+class TestSurfaceAgainstScalarOracle:
+    """Single-part surface words against the scalar brute-force walk.
+
+    With every part decorated by L1, each commutator is -n <L1, L1> where the
+    scalar one is +n, so a word of 2k parts traces to (-<L1, L1>)^k times the
+    reduced scalar trace, here taken from `fock_trace_bruteforce`, which
+    uses no trace engine.  Multi-part groups and the diagonal path are not
+    covered.
+    """
+
+    @pytest.mark.parametrize("K_trivial", (False, True))
+    def test_single_part_words(self, K_trivial):
+        surf, N = SurfaceModel(K_trivial=K_trivial), 10
+        L1 = surf.divisor("L1")
+        reducer = euler_pow(1, N)
+        rng = random.Random(37)
+        mismatches, nonzero = [], 0
+        for _ in range(100):
+            modes = [rng.randint(1, 4) for _ in range(rng.randint(1, 4))]
+            parts = modes + [-n for n in modes]
+            rng.shuffle(parts)
+            got = trace_product([DecoratedOp((p,), L1) for p in parts], surf, N)
+            scalar = (fock_trace_bruteforce(parts, N) * reducer).lift(surf.ring)
+            want = scalar.scale((-L1.pair(L1)) ** len(modes))
+            nonzero += not got.is_zero()
+            if got != want:
+                mismatches.append(parts)
+        assert not mismatches, mismatches
+        assert nonzero >= 50, nonzero
 
 
 class TestEquivEngines:
