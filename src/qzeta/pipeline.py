@@ -441,7 +441,7 @@ def check_equiv_kodd_vanishing(order):
 _H_GOLDEN_Q7 = QSeries([0, 0, 2, 16, 60, 160, 360, 672], order=7)
 
 
-@registered("h11_direct_vs_decomp", 30, 17,
+@registered("h11_direct_vs_decomp", 40, 17,
             "components decompose at weight 6 and match closed forms")
 def check_h11_direct_vs_decomp(order):
     from .qmforms import decompose
@@ -460,7 +460,7 @@ _PROP_H0 = {(2, 0, 0): Fraction(1), (0, 1, 0): Fraction(1),
             (0, 0, 1): Fraction(14, 3)}
 
 
-@registered("prop_h11024", 30, 17,
+@registered("prop_h11024", 40, 17,
             "h0 matches the printed coefficients exactly; h2 and h4 equal the "
             "NEGATIVES of the printed component formulas (printed signs are "
             "inconsistent with the defining sums, confirmed by brute-force traces)")
@@ -472,7 +472,7 @@ def check_prop_h11024(order):
                {m: c * factor for m, c in _PROP_H0.items()})
 
 
-@registered("corollary_h11024_discrepancy", 30, 2,
+@registered("corollary_h11024_discrepancy", 40, 2,
             "true chain: h0 = -(4/5) h2 = 4 h4")
 def check_corollary_h11024_discrepancy(order):
     h0, h2, h4 = (_h_component(tag, order) for tag in (0, 2, 4))

@@ -1,16 +1,18 @@
 """Membership and exact coefficients in the quasi-modular ring Q[Z(2), Z(4), Z(6)].
 
 A weight-W basis consists of the monomials Z(2)^a Z(4)^b Z(6)^c with
-2a + 4b + 6c <= W.  Decomposition is exact Gaussian elimination over Q on
-leading coefficient rows, followed by residual verification on every
-remaining coefficient up to the working order.
+2a + 4b + 6c <= W.  Decomposition solves the leading coefficient rows by
+fraction-free elimination on the integer numerator slices of the series,
+then verifies every coefficient up to the working order as an identity of
+integers; only the returned coefficients are Fractions.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
-from .ring import ZERO, QSeries
+from .ring import QSeries
 from .zeta import z_series
 
 SOLVE_MARGIN = 10
@@ -124,34 +126,67 @@ class NotInSpan:
                 f"first failing degree {self.first_failing_degree})")
 
 
-def _solve_exact(rows, rhs):
-    """Solve rows * x = rhs over Fraction by echelon reduction.
+def _eliminate(columns, targets):
+    """Fraction-free Gauss-Jordan (Bareiss) for columns * x = t, each t in targets.
 
-    rows is (m x n) with m >= n.  Returns x or None when rank < n
-    (underdetermined); inconsistency is left to the caller's residual check.
+    Pivots on the leading square block, or by least degree on every row if
+    that block is singular.  Each update divides exactly by the previous
+    pivot, so entries stay integers and end as x = X / Delta.  Returns Delta
+    and, per target, X or the first degree d with
+    sum_j X_j columns[j][d] != Delta t[d].
     """
-    m, n = len(rows), len(rows[0]) if rows else 0
-    a = [list(r) + [v] for r, v in zip(rows, rhs)]
-    piv_rows = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if a[i][c]), None)
-        if piv is None:
-            return None
-        a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(m):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        piv_rows.append(c)
-        r += 1
-        if r == n:
-            break
-    if r < n:
-        return None
-    return [a[i][n] for i in range(n)]
+    b = len(columns)
+    matrix = list(zip(*columns))
+    for height in (b, len(matrix)):
+        a = [list(row) + [t[d] for t in targets] for d, row in enumerate(matrix[:height])]
+        prev = 1
+        for c in range(b):
+            p = next((i for i in range(c, height) if a[i][c]), None)
+            if p is None:
+                break
+            a[c], a[p] = a[p], a[c]
+            top = a[c][c:]
+            piv = top[0]
+            for i, row in enumerate(a):
+                if i != c:
+                    f = row[c]
+                    row[c:] = [(piv * x - f * y) // prev for x, y in zip(row[c:], top)]
+            prev = piv
+        else:
+            break  # every column has its pivot
+    else:
+        raise ValueError("underdetermined system: increase the order")
+    out = []
+    for k, t in enumerate(targets, b):
+        xs = [a[j][k] for j in range(b)]
+        bad = next((d for d, row in enumerate(matrix)
+                    if sum(map(mul, xs, row)) != prev * t[d]), None)
+        out.append(xs if bad is None else bad)
+    return prev, out
+
+
+def _decompose(f, slices, weight, order):
+    """{key: QMDecomposition or NotInSpan} for slices {key: (numerators, den)}.
+
+    Column j is read as numerators only, so its unknown is x_j den / den_j.
+    """
+    if order is None:
+        order = f.order
+    if f.order < order:
+        raise ValueError(f"series order {f.order} below requested order {order}")
+    basis = qm_basis(weight, order)
+    columns = [s._slices[()] for s in basis.series]
+    delta, solved = _eliminate([nums for nums, _ in columns],
+                               [nums for nums, _ in slices.values()])
+    out = {}
+    for (key, (_, den)), xs in zip(slices.items(), solved):
+        if isinstance(xs, int):
+            out[key] = NotInSpan(xs, weight, order)
+        else:
+            out[key] = QMDecomposition(
+                {m: Fraction(x * dj, delta * den)
+                 for m, x, (_, dj) in zip(basis.monomials, xs, columns)}, weight, order)
+    return out
 
 
 def decompose(f, weight, order=None):
@@ -165,44 +200,19 @@ def decompose(f, weight, order=None):
     if f.ring is not None:
         raise ValueError("decompose expects a rational-coefficient series; "
                          "use decompose_mpoly for polynomial coefficients")
-    if order is None:
-        order = f.order
-    if f.order < order:
-        raise ValueError(f"series order {f.order} below requested order {order}")
-    basis = qm_basis(weight, order)
-    b = len(basis)
-
-    rows = [[basis.series[j].coeffs[d] for j in range(b)] for d in range(b)]
-    rhs = [f.coeffs[d] for d in range(b)]
-    sol = _solve_exact(rows, rhs)
-    if sol is None:
-        rows = [[basis.series[j].coeffs[d] for j in range(b)] for d in range(order + 1)]
-        rhs = [f.coeffs[d] for d in range(order + 1)]
-        sol = _solve_exact(rows, rhs)
-        if sol is None:
-            raise ValueError("underdetermined system: increase the order")
-
-    # residual check on all coefficients up to the working order
-    for d in range(order + 1):
-        acc = ZERO
-        for j in range(b):
-            if sol[j]:
-                acc += sol[j] * basis.series[j].coeffs[d]
-        if acc != f.coeffs[d]:
-            return NotInSpan(d, weight, order)
-    return QMDecomposition(dict(zip(basis.monomials, sol)), weight, order)
+    zero = ([0] * (f.order + 1), 1)
+    return _decompose(f, {(): f._slices.get((), zero)}, weight, order)[()]
 
 
 def decompose_mpoly(f, weight, order=None):
-    """Slice a polynomial-coefficient series by symbol monomial and decompose each.
+    """Decompose each symbol-monomial slice of a polynomial-coefficient series.
 
-    Returns {exponent-vector: QMDecomposition-or-NotInSpan}; the key is the
-    monomial in the series' symbol table (the all-zero vector is the scalar
-    slice).
+    Returns {exponent-vector: QMDecomposition-or-NotInSpan}, sorted by key;
+    the key is the monomial in the series' symbol table (the all-zero vector
+    is the scalar slice).  All slices share one elimination.
     """
     if f.ring is None:
         raise ValueError("decompose_mpoly expects a polynomial-coefficient series")
-    if order is None:
-        order = f.order
-    return {exps: decompose(sliced, weight, order)
-            for exps, sliced in f.by_monomial().items()}
+    if not f._slices:
+        return {}
+    return _decompose(f, dict(sorted(f._slices.items())), weight, order)

@@ -294,14 +294,16 @@ class NestedSumSpec:
 def _eval_term(spec, term, order):
     """Numerators (over the returned denominator) of one term, to the given order.
 
-    Levels fix indices left to right.  subtree(d, budget) is the sum over
-    the indices of levels d.. of the factors completed there, a numerator
-    list up to degree budget: the order minus the q-valuation of the
-    factors completed above.  Its value only depends on what the remaining
-    factors and constraints read of the fixed values, so the memo is keyed by
-    that and reused when its precision covers the request: a factor that reads
-    i and j only through i + j is keyed by the sum, and equal-sum splittings
-    collapse to one evaluation per shared sum.
+    Levels fix indices left to right, and the level that fixes n pays the
+    shift n times its coefficient in the term's total numerator form (the
+    first level also pays the constant).  subtree(d, budget) is the sum over
+    the indices of levels d.. of those shifts and of the factors completed
+    there, up to degree budget: the order less the shifts paid above.  Its
+    value only depends on what the remaining pole forms, polynomials and
+    constraints read of the fixed values, so the memo is keyed by that and
+    reused when its precision covers the request: a pole that reads i and j
+    only through i + j is keyed by the sum, and equal-sum splittings collapse
+    to one evaluation per shared sum.
     """
     k = spec.nindices
     total = spec._total_exponent(term)
@@ -323,7 +325,7 @@ def _eval_term(spec, term, order):
         completes[max(level_of[i] for i in sup) if sup else 0].append(f)
 
     # what each level's subtree reads of the indices fixed above it: the
-    # fixed part of every linear form completed there or below, the value of
+    # fixed part of every pole form completed there or below, the value of
     # every index polynomial whose indices are all fixed, and the fixed
     # indices of the other polynomials
     reads = []
@@ -331,10 +333,9 @@ def _eval_term(spec, term, order):
         fixed = set(level_order[:d])
         forms, polys, raw = [], [], set()
         for f in (f for fs in completes[d:] for f in fs):
-            for form in (f.num, f.den):
-                part = [(i, c) for i, c in enumerate(form.coeffs) if c and i in fixed]
-                if part:
-                    forms.append(part)
+            part = [(i, c) for i, c in enumerate(f.den.coeffs) if c and i in fixed]
+            if part:
+                forms.append(part)
             if f.poly is None:
                 continue
             sup = set(f.poly.support())
@@ -343,8 +344,9 @@ def _eval_term(spec, term, order):
             else:
                 raw |= sup & fixed
         reads.append((forms, polys, sorted(raw)))
-    # least exponent of the indices of levels d.., each >= 1
-    min_future = [sum(total.coeffs[i] for i in level_order[d:]) for d in range(k + 1)]
+    # least shift still to pay below level d: each later index is >= 1
+    floor = [sum(total.coeffs[i] for i in level_order[d + 1:]) for d in range(k)]
+    floor[0] += total.const
 
     memo = {}
     values = [0] * k
@@ -372,9 +374,7 @@ def _eval_term(spec, term, order):
 
         acc = [0] * (budget + 1)
         c_idx = total.coeffs[idx]
-        # least q-valuation of the factors held here, less c_idx * n: the
-        # indices of levels d.. are still 0 in values
-        base = sum(f.num(values) for fs in completes[d:] for f in fs) + min_future[d + 1]
+        base = floor[d]
         if isinstance(mode, tuple) and idx in group_b:
             later_b = [i for i in group_b if level_of[i] > d]
             candidates = range(1, extra - len(later_b) + 1) if later_b else (extra,)
@@ -397,23 +397,25 @@ def _eval_term(spec, term, order):
             if base + c_idx * n > budget:
                 break
             values[idx] = n
-            shift, scalar, poles = 0, 1, []
+            shift, scalar, poles = c_idx * n + (total.const if d == 0 else 0), 1, []
             for f in completes[d]:
-                num, pole = f.num(values), f.den(values)
+                pole = f.den(values)
                 if pole <= 0:
                     raise ValueError("denominator form must be positive on the index cone")
-                if num < 0:
+                if f.num(values) < 0:
                     raise ValueError("numerator form must be nonnegative on the index cone")
-                shift += num
                 poles.append((pole, f.power))
                 if f.poly is not None:
                     scalar *= f.poly.numerator(values)
             if shift > budget or not scalar:
                 continue
-            y = subtree(d + 1, budget - shift)[: budget - shift + 1]
+            # a negative constant can make the first shift negative; the
+            # total exponent is not, so the degrees below -shift are zero
+            y = subtree(d + 1, budget - shift)[max(-shift, 0): budget - shift + 1]
             for pole, power in poles:
                 _divide(y, pole, power)
-            acc[shift:] = map(add, acc[shift:], y if scalar == 1 else [scalar * x for x in y])
+            lo = max(shift, 0)
+            acc[lo:] = map(add, acc[lo:], y if scalar == 1 else [scalar * x for x in y])
         values[idx] = 0
         memo[key] = acc
         return acc
@@ -485,7 +487,7 @@ def _build_catalog():
     #        + sum_{i,j,k} k q^(i+j+k)(1+q^k) / (...)
     poly_ipj4 = IndexPoly([(1, (1, 0, 0, 0)), (1, (0, 1, 0, 0))])
     poly_ipj3 = IndexPoly([(1, (1, 0, 0)), (1, (0, 1, 0))])
-    poly_k3 = IndexPoly([(1, (0, 0, 1))])
+    poly_k3 = IndexPoly([(1, (1, 0, 0))])
 
     catalog["h11_4"] = [
         NestedSumSpec(4, ("equal_sum", (0, 1), (2, 3)), [
@@ -514,17 +516,18 @@ def _build_catalog():
                      SumFactor(_lf([0, 0, 0]), _lf([0, 0, 1])),
                      SumFactor(_lf([0, 0, 0]), _lf([1, 1, 1]))], scale=-1),
         ]),
+        # indexed (k, i, j), so that the subtrees below k are keyed by k alone
         NestedSumSpec(3, "free", [
-            SumTerm([SumFactor(_lf([1, 1, 1]), _lf([0, 0, 1]), poly=poly_k3),
-                     SumFactor(_lf([0, 0, 0]), _lf([1, 0, 0])),
+            SumTerm([SumFactor(_lf([1, 1, 1]), _lf([1, 0, 0]), poly=poly_k3),
                      SumFactor(_lf([0, 0, 0]), _lf([0, 1, 0])),
-                     SumFactor(_lf([0, 0, 0]), _lf([1, 0, 1])),
-                     SumFactor(_lf([0, 0, 0]), _lf([0, 1, 1]))]),
-            SumTerm([SumFactor(_lf([1, 1, 2]), _lf([0, 0, 1]), poly=poly_k3),
-                     SumFactor(_lf([0, 0, 0]), _lf([1, 0, 0])),
+                     SumFactor(_lf([0, 0, 0]), _lf([0, 0, 1])),
+                     SumFactor(_lf([0, 0, 0]), _lf([1, 1, 0])),
+                     SumFactor(_lf([0, 0, 0]), _lf([1, 0, 1]))]),
+            SumTerm([SumFactor(_lf([2, 1, 1]), _lf([1, 0, 0]), poly=poly_k3),
                      SumFactor(_lf([0, 0, 0]), _lf([0, 1, 0])),
-                     SumFactor(_lf([0, 0, 0]), _lf([1, 0, 1])),
-                     SumFactor(_lf([0, 0, 0]), _lf([0, 1, 1]))]),
+                     SumFactor(_lf([0, 0, 0]), _lf([0, 0, 1])),
+                     SumFactor(_lf([0, 0, 0]), _lf([1, 1, 0])),
+                     SumFactor(_lf([0, 0, 0]), _lf([1, 0, 1]))]),
         ]),
     ]
 

@@ -140,6 +140,12 @@ class TestEval:
 # surface, four longer words with K, e and pt at chi = 5, and every cyclic
 # rotation of eight seeded three-group words at order 16 on both surfaces
 GOLDEN_TRACE = Path(__file__).with_name("golden_trace.json")
+# `decompose --json` output: seeded rational combinations of basis monomials
+# at weights 2-12 near the least order each weight allows, the same perturbed
+# by a series outside the span (B[1], EulerPow(1), Z(3), a power of Z(2) past
+# the weight, B[2,1], and Z(2)^e for an e past the leading rows, which fails
+# at degree e), the three h11 components, D(Z(2)) and G(4)*G(6)
+GOLDEN_DECOMPOSE = Path(__file__).with_name("golden_decompose.json")
 
 
 class TestMainInProcess:
@@ -211,6 +217,15 @@ class TestMainInProcess:
 
     def test_trace_golden(self):
         for entry in json.loads(GOLDEN_TRACE.read_text()):
+            code, out = self.run_main(*entry["argv"])
+            assert code == 0
+            want = json.dumps(entry["output"], sort_keys=True, separators=(",", ":"))
+            assert out == want + "\n", entry["argv"]
+
+    def test_decompose_golden_corpus(self):
+        golden = json.loads(GOLDEN_DECOMPOSE.read_text())
+        assert sum(entry["output"]["coeffs"] is None for entry in golden) >= 30
+        for entry in golden:
             code, out = self.run_main(*entry["argv"])
             assert code == 0
             want = json.dumps(entry["output"], sort_keys=True, separators=(",", ":"))

@@ -255,13 +255,15 @@ def _form(form, values):
 def _index_tuples(spec, order):
     """Every admissible index tuple with entries small enough to reach q^order."""
     k, mode = spec.nindices, spec.constraint
+    # a negative numerator constant lets an index exceed the order
+    top = order + max(0, -min(spec._total_exponent(t).const for t in spec.terms))
     if mode == "free":
-        yield from product(range(1, order + 1), repeat=k)
+        yield from product(range(1, top + 1), repeat=k)
     elif mode == "chain":
-        yield from combinations(range(order, 0, -1), k)
+        yield from combinations(range(top, 0, -1), k)
     else:
         _, group_a, group_b = mode
-        for head in product(range(1, order + 1), repeat=len(group_a)):
+        for head in product(range(1, top + 1), repeat=len(group_a)):
             for tail in product(range(1, sum(head) + 1), repeat=len(group_b)):
                 if sum(tail) == sum(head):
                     values = [0] * k
@@ -359,6 +361,12 @@ ORACLE_SPECS = {
                  SumFactor(_lf(0, 0, 0, 0), _lf(0, 0, 1, 0), 2,
                            poly=IndexPoly([(F(1, 2), (0, 0, 2, 0))])),
                  SumFactor(_lf(0, 0, 0, 0), _lf(0, 0, 0, 1))]),
+    ]),
+    # the first level's shift, i - 2, is negative at i = 1; the total i + j - 2 is not
+    "free_negative_constant": NestedSumSpec(2, "free", [
+        SumTerm([SumFactor(_lf(1, 1, const=-2), _lf(1, 0), 2,
+                           poly=IndexPoly([(F(1, 2), (1, 1))])),
+                 SumFactor(_lf(0, 0), _lf(0, 1))]),
     ]),
     "equal_sum_three_one": NestedSumSpec(4, ("equal_sum", (0, 1, 2), (3,)), [
         SumTerm([SumFactor(_lf(1, 0, 0, 0), _lf(1, 0, 0, 0), 2),
