@@ -13,14 +13,11 @@ Grammar (LL(1), whitespace-insensitive, no implicit multiplication):
 Rational literals are integer quotients (7/2 parses as division, which is
 exact); no decimals.
 """
-from __future__ import annotations
-
 import argparse
 import json
 import os
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -71,51 +68,75 @@ def tokenize(text):
 # -- AST ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Lit:
-    value: int
+class _Node:
+    """An immutable AST node whose positional fields are named in `__slots__`.
+
+    Nodes are equal and hash alike by (type, fields), so GGen(4) != EulerPowGen(4),
+    and print as Name(field=value, ...).
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes {len(self.__slots__)} fields")
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _key(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        return isinstance(other, _Node) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass(frozen=True)
-class ZGen:
-    indices: tuple
+class Lit(_Node):
+    __slots__ = ("value",)
 
 
-@dataclass(frozen=True)
-class BGen:
-    indices: tuple
+class ZGen(_Node):
+    __slots__ = ("indices",)
 
 
-@dataclass(frozen=True)
-class GGen:
-    weight: int
+class BGen(_Node):
+    __slots__ = ("indices",)
 
 
-@dataclass(frozen=True)
-class EulerPowGen:
-    exponent: int
+class GGen(_Node):
+    __slots__ = ("weight",)
 
 
-@dataclass(frozen=True)
-class SumRef:
-    name: str
+class EulerPowGen(_Node):
+    __slots__ = ("exponent",)
 
 
-@dataclass(frozen=True)
-class DOp:
-    arg: object
+class SumRef(_Node):
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
-class Neg:
-    arg: object
+class DOp(_Node):
+    __slots__ = ("arg",)
 
 
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # one of + - * / ^
-    left: object
-    right: object
+class Neg(_Node):
+    __slots__ = ("arg",)
+
+
+class BinOp(_Node):
+    __slots__ = ("op", "left", "right")  # op is one of + - * / ^
 
 
 _PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
@@ -359,10 +380,6 @@ def parse_trace_word(text, surface):
 # -- output helpers ---------------------------------------------------------------
 
 
-def _poly_text(p):
-    return repr(p)
-
-
 def _emit_json(data, out):
     # json.dumps, unlike json.dump, runs the C encoder; the bytes are the same
     out.write(json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n")
@@ -373,7 +390,7 @@ def _emit_series(s, as_json, out):
         _emit_json(series_to_json(s), out)
         return
     for n, c in enumerate(s.coeffs):
-        text = _poly_text(c) if s.ring is not None else str(c)
+        text = repr(c) if s.ring is not None else str(c)
         out.write(f"{n}\t{text}\n")
 
 

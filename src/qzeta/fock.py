@@ -12,8 +12,6 @@ sign:
 All trace values are REDUCED: the global Euler-product factor is divided out,
 so the empty word traces to 1.
 """
-from __future__ import annotations
-
 from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
@@ -58,18 +56,6 @@ class GenPartition:
         for m in self.multiplicities().values():
             out *= factorial(m)
         return out
-
-    def __le__(self, other):
-        mine, theirs = self.multiplicities(), other.multiplicities()
-        return all(theirs.get(p, 0) >= m for p, m in mine.items())
-
-    def __sub__(self, other):
-        if not other <= self:
-            raise ValueError("subtraction needs componentwise containment")
-        mults = self.multiplicities()
-        for p, m in other.multiplicities().items():
-            mults[p] -= m
-        return GenPartition([p for p, m in mults.items() for _ in range(m)])
 
     def __eq__(self, other):
         return isinstance(other, GenPartition) and self.parts == other.parts
@@ -591,18 +577,19 @@ def _group_removals(parts, order):
 def _shape(parts):
     """(mode imbalance, energy floor, weight) of a leftover's parts.
 
-    The imbalance holds the pairs (n, # of n - # of -n) with n > 0 and a
-    nonzero difference.  The floor is the largest running sum of the parts
-    read right to left, from 0: a word reaches no state below that energy,
-    so its trace has at least that q-valuation.
+    The imbalance is the sum of (# of n - # of -n) * 2^(32 n) over n > 0: its
+    signed base-2^32 digits are the per-mode differences, so imbalances add
+    as integers and a sum is 0 exactly when every mode cancels (while a tuple
+    of words holds fewer than 2^32 parts).  The floor is the largest running
+    sum of the parts read right to left, from 0: a word reaches no state
+    below that energy, so its trace has at least that q-valuation.
     """
-    imbalance = Counter()
-    run = floor = 0
+    imbalance = run = floor = 0
     for p in reversed(parts):
-        imbalance[abs(p)] += 1 if p > 0 else -1
+        imbalance += (1 if p > 0 else -1) << 32 * abs(p)
         run += p
         floor = max(floor, run)
-    return frozenset((n, k) for n, k in imbalance.items() if k), floor, run
+    return imbalance, floor, run
 
 
 class _Contraction:
@@ -688,7 +675,7 @@ def _contract_trace(expansions, order, contract, trace_word, ring=None,
     # the last row of a tuple is looked up by the balance and imbalance it cancels
     tails = {}
     for row in tail:
-        tails.setdefault((row.balance, row.imbalance), []).append(row)
+        tails.setdefault((-row.balance, -row.imbalance), []).append(row)
     removals = {}  # factors -> numerators of prod q^(n p)/(1-q^n)^(p + p~)
     traced = {}  # leftover word -> [nonzero trace or None, summed weight]
 
@@ -719,27 +706,24 @@ def _contract_trace(expansions, order, contract, trace_word, ring=None,
 
     def walk(i, qcost, balance, imbalance, sums, floor, rows):
         if i == len(heads):
-            need = frozenset((n, -k) for n, k in imbalance.items() if k)
-            for row in tails.get((-balance, need), ()):
+            for row in tails.get((balance, imbalance), ()):
                 if (qcost + row.qcost + max(row.floor, row.total + floor) <= order
                         and any(-g in row.grades for g in sums)):
                     credit(rows + (row,), None)
             return
+        last = i + 1 == len(heads)  # then some tail row must cancel what the row leaves
         for row in heads[i]:
             q = qcost + row.qcost
-            if q > order:
+            left = balance + row.balance, imbalance + row.imbalance
+            if q > order or last and left not in tails:
                 continue
-            sub = Counter(imbalance)
-            for n, k in row.imbalance:
-                sub[n] += k
-            walk(i + 1, q, balance + row.balance, sub,
+            walk(i + 1, q, *left,
                  {g + h for g in sums for h in row.grades},
                  max(row.floor, row.total + floor), rows + (row,))
 
     if len(expansions) == 2 and expansions[0] is expansions[1]:
         for row in tail:
-            need = frozenset((n, -k) for n, k in row.imbalance)
-            for other in tails.get((-row.balance, need), ()):
+            for other in tails.get((row.balance, row.imbalance), ()):
                 q = row.qcost + other.qcost
                 if (other.index < row.index or q > order
                         or not any(-g in other.grades for g in row.grades)):
@@ -750,7 +734,7 @@ def _contract_trace(expansions, order, contract, trace_word, ring=None,
                 if other is not row and q + max(row.floor, row.total + other.floor) <= order:
                     credit((other, row), weight)
     else:
-        walk(0, 0, 0, Counter(), _BALANCED, 0, ())
+        walk(0, 0, 0, 0, _BALANCED, 0, ())
     del walk  # break the walk -> closure -> walk cycle: tables die on return
     acc = {}
     for inner, weight in traced.values():

@@ -6,10 +6,8 @@ its own derivation (three cases: the closed form of the degree-0 two-point
 lemma, the sign of the weight-6 component formulas, and the proportionality
 chain between the equivariant components), the check verifies the derived
 truth and its detail string reports the deviation of the printed display.
+A check that raises is logged; `logging` is imported only then.
 """
-from __future__ import annotations
-
-import logging
 import math
 from fractions import Fraction
 
@@ -565,6 +563,7 @@ def run_checks(names="all", order=None):
         try:
             results.append(fn(check_order))
         except Exception as exc:
+            import logging
             logging.getLogger(__name__).exception("check %s raised", name)
             detail = " ".join(f"{type(exc).__name__}: {exc}".split())
             results.append(CheckResult(name, False, check_order, detail, error=True))

@@ -6,8 +6,6 @@ fraction-free elimination on the integer numerator slices of the series,
 then verifies every coefficient up to the working order as an identity of
 integers; only the returned coefficients are Fractions.
 """
-from __future__ import annotations
-
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul

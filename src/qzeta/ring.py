@@ -3,8 +3,6 @@
 All values are immutable after construction and every operation is a pure
 function, so everything here is safe to share across threads.
 """
-from __future__ import annotations
-
 from fractions import Fraction
 from itertools import accumulate
 from math import comb, gcd

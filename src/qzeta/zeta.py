@@ -7,8 +7,6 @@ numerators t^(s/2), resp. t^((s-1)/2)(t+1) for odd s).  The nested-sum
 evaluator services every displayed multi-sum: free indices, strict chains,
 and an equal-sum constraint between two index groups.
 """
-from __future__ import annotations
-
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm, prod

@@ -380,6 +380,38 @@ class TestFailureModes:
         assert data[0]["detail"] == "ValueError: boom second line"
         assert data[0]["order"] == 10
 
+    def test_crashing_check_logs_its_traceback_in_a_fresh_process(self):
+        # -S keeps site hooks from loading logging first; the process reports
+        # whether logging is loaded after import, after a clean run, and after
+        # a crashing one, whose traceback reaches stderr through logging
+        script = (
+            "import sys\n"
+            "from qzeta.cli import main\n"
+            "from qzeta.pipeline import CHECKS\n"
+            "def crash(order):\n"
+            "    raise ValueError('boom\\nsecond line')\n"
+            "seen = ['logging' in sys.modules]\n"
+            "main(['verify', '--check', 'bk3_2_6', '--order', '10'])\n"
+            "seen.append('logging' in sys.modules)\n"
+            "CHECKS['dz3'] = (crash, 40, 1)\n"
+            "code = main(['verify', '--check', 'dz3,bk3_2_6', '--order', '10', '--json'])\n"
+            "seen.append('logging' in sys.modules)\n"
+            "print(seen)\n"
+            "sys.exit(code)\n")
+        done = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
+                              text=True, cwd=Path(__file__).resolve().parent.parent,
+                              env=ENV, timeout=120)
+        assert done.returncode == 3
+        *results, seen = done.stdout.splitlines()
+        assert seen == "[False, False, True]"
+        data = json.loads(results[-1])
+        assert [d["status"] for d in data] == ["error", "pass"]
+        assert data[0]["detail"] == "ValueError: boom second line"
+        assert done.stderr.startswith(
+            "check dz3 raised\nTraceback (most recent call last):\n")
+        assert "in run_checks\n    results.append(fn(check_order))" in done.stderr
+        assert ", in crash\nValueError: boom\nsecond line\n" in done.stderr
+
     def test_failing_check_reports_its_case_and_the_run_goes_on(self, capsys,
                                                                 monkeypatch):
         import qzeta.pipeline as pipeline

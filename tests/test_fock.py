@@ -26,13 +26,6 @@ class TestGenPartition:
         assert lam.weight == 0
         assert lam.symmetry_factorial == 2
 
-    def test_subtraction(self):
-        lam = GenPartition((-2, 1, 1))
-        mu = GenPartition((1,))
-        assert (lam - mu).parts == (-2, 1)
-        with pytest.raises(ValueError):
-            GenPartition((1,)) - GenPartition((2,))
-
     def test_no_zero_parts(self):
         with pytest.raises(ValueError):
             GenPartition((0, 1))

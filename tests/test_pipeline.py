@@ -201,6 +201,30 @@ class TestContractionTables:
         assert len(words) < 486
         assert all(0 in grade_sums(word) for word in words)
 
+    @pytest.mark.parametrize("K_trivial", [False, True])
+    def test_words_with_an_unpaired_mode_are_not_traced(self, monkeypatch, K_trivial):
+        # the walker sums each tuple's mode imbalance; one that leaves some
+        # mode n without a -n traces to zero and must not reach the engine
+        surf, order = SurfaceModel(K_trivial=K_trivial), 5
+        engine = surf.engine(order)
+        real, words, depth = engine.trace, [], [0]
+
+        def top_level(word):
+            if not depth[0]:
+                words.append([p for parts, _ in word for p in parts])
+            depth[0] += 1
+            try:
+                return real(word)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(engine, "trace", top_level)
+        one, l1 = surf.one(), surf.divisor("L1")
+        f_series_reduced(FSeriesSpec(((1, one), (0, l1), (1, one)), surf, order))
+        assert words
+        for parts in words:
+            assert sorted(p for p in parts if p > 0) == sorted(-p for p in parts if p < 0)
+
     def test_walker_golden(self):
         # every series the removal walker gives here, pinned byte for byte
         golden = json.loads(GOLDEN_WALKER.read_text())

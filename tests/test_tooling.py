@@ -12,6 +12,10 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 # process-lifetime caches hold their entries until exit; the count may only fall
 MAX_LRU_CACHE_SITES = 9
+# stdlib modules `import qzeta.cli` must not load: each costs every process
+# its import, and without a bytecode cache its compile; the list may only grow
+NOT_LOADED_BY_IMPORT = ("logging", "traceback", "dataclasses", "inspect", "ast", "dis",
+                        "tokenize")
 
 
 def tracer_layers():
@@ -46,6 +50,20 @@ def test_lru_cache_sites_do_not_grow():
              for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
              if use.search(line) and not line.lstrip().startswith(("import", "from"))]
     assert len(sites) <= MAX_LRU_CACHE_SITES, sites
+
+
+def test_import_loads_no_unneeded_stdlib():
+    # only what the import adds to the interpreter's own modules counts, so
+    # modules a host's site hooks load first do not matter
+    probe = ("import sys; before = set(sys.modules); import qzeta.cli; "
+             "print(' '.join(sorted(set(sys.modules) - before)))")
+    done = subprocess.run(
+        [sys.executable, "-c", probe], cwd=ROOT, capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPATH": "src"})
+    assert done.returncode == 0, done.stderr[-2000:]
+    added = set(done.stdout.split())
+    assert "qzeta.cli" in added
+    assert not added.intersection(NOT_LOADED_BY_IMPORT), sorted(added)
 
 
 def test_benchmark_own_tests_pass():
