@@ -826,6 +826,10 @@ def chern_op(k, klass, surface, order):
     Only k = 0 and k = 1 are available: the general expansion has universal
     constants that are not pinned down.
     """
+    # The terms, one per mode up to the order, are listed before any series
+    # exists: allocate one series first, so that an order too large for memory
+    # fails at once with MemoryError, as z_series does.
+    QSeries.one(order)
     if k == 0:
         return [(Fraction(-1), DecoratedOp((-m, m), klass))
                 for m in range(1, order + 1)]
@@ -899,52 +903,50 @@ def all_partition_states(order):
 def fock_trace_bruteforce(parts, order):
     """Unreduced Tr q^n over the partition basis; the independent oracle.
 
-    Basis states are ordinary partitions; a_{-m} appends a part m with
-    coefficient 1 and a_m removes a part m with coefficient m times its
-    multiplicity.  The word applies right to left, and a state contributes
-    q^size exactly when the deterministic walk returns to it.
+    Basis states are ordinary partitions, written by their multiplicities m_n:
+    a_{-n} adds a part n with coefficient 1 and a_n removes one with
+    coefficient n*m_n.  The word applies right to left, and a state
+    contributes q^size exactly when the deterministic walk returns to it.
 
-    The walk runs on the multiplicities of the part sizes the word touches
-    (its support).  Every other part is a spectator the walk never changes, so
-    a support state of size `base` counts in q^(base + r) once per partition
-    of r with no part in the support, read from one coin-change table.
+    A letter a_{+-n} changes only m_n, so the basis is a tensor product over
+    the part sizes and <lambda|W|lambda> = prod_n <m_n|W_n|m_n>, where W_n
+    keeps the word's letters of size n in their order.  Each size n in the
+    word is walked on its own from every m = 0..order//n, which gives
+    sum_m <m|W_n|m> q^(nm).  Every other size is a spectator the word never
+    changes: one coin-change table counts the partitions with no part in the
+    word.  The trace is the truncated product of that table and the per-size
+    sums.
     """
     parts = tuple(parts)
     if any(p == 0 for p in parts):
         raise ValueError("parts must be nonzero integers")
     if order < 0:
         raise ValueError("order must be nonnegative")
-    support = sorted({abs(p) for p in parts})
-    index = {s: i for i, s in enumerate(support)}
-    spectators = [1] + [0] * order
+    modes = {}
+    for p in reversed(parts):
+        modes.setdefault(abs(p), []).append(p)
+    coeffs = [1] + [0] * order
     for coin in range(1, order + 1):
-        if coin not in index:
+        if coin not in modes:
             for r in range(coin, order + 1):
-                spectators[r] += spectators[r - coin]
-    walk = [(p, index[abs(p)]) for p in reversed(parts)]
-    coeffs = [0] * (order + 1)
-
-    def visit(i, base, start):
-        if i < len(support):
-            for m in range((order - base) // support[i] + 1):
-                visit(i + 1, base + m * support[i], start + [m])
-            return
-        current = list(start)
-        factor = 1
-        for p, j in walk:
-            if p < 0:
-                current[j] += 1
-            elif current[j]:
-                factor *= p * current[j]
-                current[j] -= 1
+                coeffs[r] += coeffs[r - coin]
+    for n, walk in modes.items():
+        diagonal = [0] * (order + 1)
+        for m in range(order // n + 1):
+            current, factor = m, 1
+            for p in walk:
+                if p < 0:
+                    current += 1
+                elif current:
+                    factor *= p * current
+                    current -= 1
+                else:
+                    break
             else:
-                return
-        if current == start:
-            for r in range(order - base + 1):
-                coeffs[base + r] += factor * spectators[r]
-
-    visit(0, 0, [])
-    return QSeries(coeffs, order=order)
+                if current == m:
+                    diagonal[n * m] = factor
+        coeffs = _conv(coeffs, diagonal, order)
+    return _series(order, None, _finish({(): (coeffs, 1)}))
 
 
 # -- equivariant Chern character operators -------------------------------------
@@ -1071,12 +1073,16 @@ def _gamma_minus_row(state, scale, budget):
     """
     row = []
     for a in range(budget + 1):
+        fa = factorial(a)
         for mu in _partitions_of(a, a):
-            z = 1
-            for n, k in Counter(mu).items():
-                z *= n ** k * factorial(k)
+            # z_mu = prod n^k k!, one factor n*j for the j-th part n
+            z, run, last = 1, 0, 0
+            for n in mu:
+                run = run + 1 if n == last else 1
+                z *= n * run
+                last = n
             row.append((tuple(sorted(state + mu, reverse=True)), a,
-                        scale ** len(mu) * factorial(a) // z))
+                        scale ** len(mu) * fa // z))
     return row
 
 
@@ -1127,22 +1133,20 @@ def gamma_commutation_check(pairing, order, window=6):
             row = plus[state] = _gamma_plus_row(state, c, window)
         return row
 
-    def nonzero(vec):
-        return {key: v for key, v in vec.items() if v}
-
     states = all_partition_states(order)
 
     # [Gamma_-(x), Gamma_-(y)] = 0.  A path state -> s1 -> s2 adds its first
     # multiset in y and its second in x under Gamma_-(x) Gamma_-(y), and the
     # reverse under Gamma_-(y) Gamma_-(x).  Keys are (state, y-degree,
-    # x-degree); y^a x^d carries 1/(a! d!) on both sides.
+    # x-degree); y^a x^d carries 1/(a! d!) on both sides.  The second side is
+    # the first with the degrees swapped, so the relation holds when the one
+    # table is symmetric under a <-> d.
     for state in states:
-        yx, xy = {}, {}
+        yx = {}
         for s1, a, n1 in gm(state):
             for s2, d, n2 in gm(s1):
                 yx[s2, a, d] = yx.get((s2, a, d), 0) + n1 * n2
-                xy[s2, d, a] = xy.get((s2, d, a), 0) + n1 * n2
-        if nonzero(yx) != nonzero(xy):
+        if any(v != yx.get((s2, d, a), 0) for (s2, a, d), v in yx.items()):
             return False
 
     # prefactor (1 - y/x)^(c c') truncated in powers of y/x
@@ -1157,12 +1161,12 @@ def gamma_commutation_check(pairing, order, window=6):
     # side by a!/(a-j)!.  Degrees only grow along a path, so a path stops once
     # it leaves the window (Gamma_- rows rise in a).
     for state in states:
-        lhs, rhs = {}, {}
+        diff = {}  # left side minus right side
         for s1, a, n1 in gm(state):
             if a > window:
                 break
             for s2, b, n2 in gp(s1):
-                lhs[s2, a, b] = lhs.get((s2, a, b), 0) + n1 * n2
+                diff[s2, a, b] = diff.get((s2, a, b), 0) + n1 * n2
         for s1, b, n1 in gp(state):
             for s2, a, n2 in gm(s1):
                 if a > window:
@@ -1171,7 +1175,7 @@ def gamma_commutation_check(pairing, order, window=6):
                     if a + j > window or b + j > window:
                         break
                     key = s2, a + j, b + j
-                    rhs[key] = rhs.get(key, 0) + n1 * n2 * pc * perm(a + j, j)
-        if nonzero(lhs) != nonzero(rhs):
+                    diff[key] = diff.get(key, 0) - n1 * n2 * pc * perm(a + j, j)
+        if any(diff.values()):
             return False
     return True

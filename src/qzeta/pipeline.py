@@ -407,7 +407,7 @@ def check_trij1Xij1X(order):
                 yield f"i={i} j={j}", trace_product(word, surf, order), want
 
 
-@registered("gamma_comm", 10, 0,
+@registered("gamma_comm", 12, 0,
             "half-vertex commutation, pairings {0, 1, 2, -1}, window 6")
 def check_gamma_comm(order):
     for pairing in (0, 1, 2, -1):

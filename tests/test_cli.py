@@ -449,6 +449,30 @@ class TestFailureModes:
         assert code == 3
         assert out.startswith("ERROR\tdz3\t")
 
+    def test_chern_expansion_order_too_large_is_a_check_error(self):
+        # chern_op lists one term per mode up to the order; at 2**62 it must
+        # fail before listing any.  The child's address space is capped and
+        # its peak memory read back, so a regression fails here instead of
+        # filling the machine.
+        script = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+            "from qzeta.cli import main\n"
+            "code = main(['verify', '--check', 'theorem_main,lemma_f00', '--order',"
+            " str(2 ** 62)])\n"
+            "with open('/proc/self/status') as status:\n"
+            "    print([line.split()[1] for line in status if line.startswith('VmHWM')][0])\n"
+            "sys.exit(code)\n")
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, cwd=Path(__file__).resolve().parent.parent,
+                              env=ENV, timeout=120)
+        assert done.returncode == 3, done.stderr[-2000:]
+        *lines, peak_kb = done.stdout.splitlines()
+        assert [line.split("\t") for line in lines] == [
+            ["ERROR", name, f"order={2 ** 62}", "MemoryError:"]
+            for name in ("theorem_main", "lemma_f00")]
+        assert int(peak_kb) < 256 * 1024
+
 
 class TestParserReuse:
     REQUESTS = (["expand", "Z(2)", "--order", "5"],  # valid

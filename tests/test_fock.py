@@ -291,22 +291,45 @@ def reference_bruteforce(parts, order):
 
 
 class TestBruteForceOracle:
-    """The integer support walk against the per-state reference walk."""
+    """The integer per-mode walk against the per-state reference walk."""
 
     ORDERS = (0, 1, 5, 12)
+    # the benchmark's word order and trala_suite's default
+    HIGH_ORDERS = (18, 20)
     LETTERS = (-4, -3, -2, -1, 1, 2, 3, 4)
 
     def _agree(self, parts, order):
         got = fock_trace_bruteforce(parts, order)
         want = reference_bruteforce(parts, order)
         assert got.order == want.order == order
+        assert got == want, (parts, order)
         assert got.coeffs == want.coeffs, (parts, order)
+        return got
 
     def test_every_short_word(self):
-        for order in self.ORDERS:
-            for length in range(5):
+        for order in self.ORDERS + self.HIGH_ORDERS:
+            for length in range(5 if order in self.ORDERS else 3):
                 for parts in product(self.LETTERS, repeat=length):
                     self._agree(parts, order)
+
+    @staticmethod
+    def _repeated_size_word(rng, kind):
+        """6-10 letters of sizes 1-3, so sizes repeat: each size n paired with
+        a -n and shuffled; the same with one sign flipped (unbalanced); or
+        a_{-n}^2 ... a_n^2, which kills every state with fewer than two parts
+        n, so it is dead below order 2n."""
+        sizes = [rng.randint(1, 3) for _ in range(rng.randint(3, 5))]
+        word = [p for s in sizes for p in (s, -s)]
+        if kind == "dead":
+            n = sizes[0]
+            word = word[4:]
+            rng.shuffle(word)
+            return (-n, -n, *word, n, n)
+        rng.shuffle(word)
+        if kind == "unbalanced":
+            i = rng.randrange(len(word))
+            word[i] = -word[i]
+        return tuple(word)
 
     def test_seeded_longer_words(self):
         rng = random.Random(5150)
@@ -314,12 +337,23 @@ class TestBruteForceOracle:
             parts = tuple(rng.choice(self.LETTERS) for _ in range(rng.randint(5, 8)))
             for order in self.ORDERS:
                 self._agree(parts, order)
+        rng = random.Random(8128)
+        zero, nonzero = set(), set()
+        for i in range(36):
+            kind = ("balanced", "unbalanced", "dead")[i % 3]
+            parts = self._repeated_size_word(rng, kind)
+            for order in self.ORDERS + self.HIGH_ORDERS:
+                (zero if self._agree(parts, order).is_zero() else nonzero).add(kind)
+        # each kind reaches both outcomes, except that unbalanced words never
+        # return a state to itself
+        assert zero == {"balanced", "unbalanced", "dead"}
+        assert nonzero == {"balanced", "dead"}
 
     def test_empty_unbalanced_and_dead_words(self):
         words = ((), (-1,), (3,), (-2, -2, 2), (1, -1), (2, 2, -2, -2),
                  (4, -4, -4), (1, -2, 2, -1), (3, 3, -3))
         for parts in words:
-            for order in self.ORDERS:
+            for order in self.ORDERS + self.HIGH_ORDERS:
                 self._agree(parts, order)
         # unbalanced words never return a state to itself
         assert fock_trace_bruteforce((-2, -2, 2), 12).is_zero()

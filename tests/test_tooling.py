@@ -1,4 +1,5 @@
-"""The benchmark's layer table and own tests against the program, and the count of cache sites."""
+"""The benchmark's layer table and own tests against the program, the count of cache
+sites, and the independence of the brute-force oracles from the trace engines."""
 import ast
 import importlib
 import os
@@ -16,6 +17,11 @@ MAX_LRU_CACHE_SITES = 9
 # its import, and without a bytecode cache its compile; the list may only grow
 NOT_LOADED_BY_IMPORT = ("logging", "traceback", "dataclasses", "inspect", "ast", "dis",
                         "tokenize")
+# the brute-force oracles check the trace engines, so neither they nor the fock
+# helpers they call may name any engine part below; the list may only grow
+ORACLES = ("fock_trace_bruteforce", "gamma_commutation_check")
+ENGINE_NAMES = ("_TraceEngine", "SurfaceTraceEngine", "EquivTraceEngine", "_equiv_engine",
+                "equiv_trace", "trace_product", "_contract_trace", "commutator", "_merge")
 
 
 def tracer_layers():
@@ -50,6 +56,21 @@ def test_lru_cache_sites_do_not_grow():
              for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
              if use.search(line) and not line.lstrip().startswith(("import", "from"))]
     assert len(sites) <= MAX_LRU_CACHE_SITES, sites
+
+
+@pytest.mark.parametrize("oracle", ORACLES)
+def test_oracles_name_no_engine(oracle):
+    tree = ast.parse((ROOT / "src" / "qzeta" / "fock.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    named, todo = set(), [oracle]
+    while todo:
+        for node in ast.walk(functions[todo.pop()]):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if name and name not in named:
+                named.add(name)
+                if name in functions:
+                    todo.append(name)
+    assert not named.intersection(ENGINE_NAMES), sorted(named.intersection(ENGINE_NAMES))
 
 
 def test_import_loads_no_unneeded_stdlib():
