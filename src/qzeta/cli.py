@@ -563,7 +563,9 @@ def main(argv=None):
         _index_order(args.order)
         return args.fn(args, sys.stdout)
     except (ParseError, KeyError, ValueError, ZeroDivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message
+        print(f"error: {exc.args[0] if isinstance(exc, KeyError) and exc.args else exc}",
+              file=sys.stderr)
         return 2
     except RecursionError:
         print("error: expression nested too deeply", file=sys.stderr)

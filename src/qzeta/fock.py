@@ -12,12 +12,12 @@ sign:
 All trace values are REDUCED: the global Euler-product factor is divided out,
 so the empty word traces to 1.
 """
-from collections import Counter, namedtuple
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
 from math import comb, factorial, lcm, perm, prod
-from operator import add
+from operator import add, neg
 
 from .ring import (MPolyRing, QSeries, ZERO, _add_into, _add_scaled, _conv, _divide,
                    _finish, _geometric_step, _lambert_moments, _series, _shift)
@@ -328,8 +328,7 @@ def commutator(left, right):
 
 def _mode_balanced(parts):
     """Whether every mode n occurs as often as -n: else the trace is zero."""
-    counts = Counter(parts)
-    return all(counts[n] == counts[-n] for n in counts)
+    return sorted(parts) == sorted(map(neg, parts))
 
 
 class _TraceEngine:
@@ -532,94 +531,82 @@ def trace_product(word, surface, order):
 # -- vertex-operator trace expansion ------------------------------------------
 
 
-_Removal = namedtuple("_Removal",
-                      "qcost balance npos ncount comb factors remainder")
-
-
 def _group_removals(parts, order):
-    """Sub-multiset removal options for one group of parts, as _Removal.
+    """Sub-multiset removal options for one group of parts, as plain tuples.
 
-    npos and ncount count the removed positive and all removed parts,
-    factors is a tuple of (n, (p, p_tilde)) mode removals.
+    An option is (qcost, balance, npos, comb, removed, kept, imbalance,
+    floor, total).  The first four describe the removed sub-multiset: its
+    q-cost and signed size, its number of positive parts, and its binomial
+    factor prod C(m, k) times the sign (-1)^npos.  removed and kept are the
+    removed and the kept parts, both sorted; removed is the key of the
+    option's removal weight (see `_removal_nums`).  The last three are the
+    kept parts' shape.  The imbalance is the sum of (# of n - # of -n) *
+    2^(32 n) over n > 0: its signed base-2^32 digits are the per-mode
+    differences, so imbalances add as integers and a sum is 0 exactly when
+    every mode cancels (while a tuple of words holds fewer than 2^32 parts).
+    The floor is the largest running sum of the kept parts read right to
+    left, from 0, here the sum of the positive ones: a word reaches no state
+    below that energy, so its trace has at least that q-valuation.  total is
+    the kept parts' sum.  Options grow one distinct part at a time, in
+    rising part order, and one whose q-cost exceeds the order is dropped as
+    soon as it does.
     """
-    mults = sorted(Counter(parts).items())
-    ranges = [range(m + 1) for _, m in mults]
-    for choice in iproduct(*ranges):
-        qcost = 0
-        balance = 0
-        npos = 0
-        ncount = 0
-        coeff = 1
-        factors = {}
-        remainder = []
-        for (part, m), k in zip(mults, choice):
-            if k:
-                coeff *= comb(m, k)
-                ncount += k
-                n = abs(part)
-                p, pt = factors.get(n, (0, 0))
-                if part > 0:
-                    qcost += n * k
-                    balance += n * k
-                    npos += k
-                    factors[n] = (p + k, pt)
-                else:
-                    balance -= n * k
-                    factors[n] = (p, pt + k)
-            if m - k:
-                remainder.extend([part] * (m - k))
-        if qcost > order:
-            continue
-        yield _Removal(qcost, balance, npos, ncount, coeff,
-                       tuple(sorted(factors.items())), tuple(sorted(remainder)))
+    options = [(0, 0, 0, 1, (), (), 0, 0, 0)]
+    for part in sorted(set(parts)):
+        m = parts.count(part)
+        pos = part > 0
+        bit = (1 if pos else -1) << 32 * abs(part)
+        steps = [(part * k if pos else 0, part * k, k if pos else 0,
+                  (-1) ** k * comb(m, k) if pos else comb(m, k), (part,) * k,
+                  (part,) * (m - k), bit * (m - k), part * (m - k) if pos else 0,
+                  part * (m - k)) for k in range(m + 1)]
+        options = [(q + dq, b + db, npos + dn, c * dc, removed + out, kept + left,
+                    imb + di, fl + df, t + dt)
+                   for q, b, npos, c, removed, kept, imb, fl, t in options
+                   for dq, db, dn, dc, out, left, di, df, dt in steps if q + dq <= order]
+    return options
 
 
-def _shape(parts):
-    """(mode imbalance, energy floor, weight) of a leftover's parts.
+def _removal_nums(removed, order):
+    """Numerators of prod q^(n p)/(1-q^n)^(p + p~) over the removed parts.
 
-    The imbalance is the sum of (# of n - # of -n) * 2^(32 n) over n > 0: its
-    signed base-2^32 digits are the per-mode differences, so imbalances add
-    as integers and a sum is 0 exactly when every mode cancels (while a tuple
-    of words holds fewer than 2^32 parts).  The floor is the largest running
-    sum of the parts read right to left, from 0: a word reaches no state
-    below that energy, so its trace has at least that q-valuation.
+    p and p~ count the removed parts n and -n: each part n > 0 gives
+    q^n/(1 - q^n), each part -n gives 1/(1 - q^n).
     """
-    imbalance = run = floor = 0
-    for p in reversed(parts):
-        imbalance += (1 if p > 0 else -1) << 32 * abs(p)
-        run += p
-        floor = max(floor, run)
-    return imbalance, floor, run
+    nums = [1] + [0] * order
+    for part in removed:
+        n = abs(part)
+        nums = _divide(_shift(nums, n) if part > 0 else nums, n, 1)
+    return nums
 
 
 class _Contraction:
     """One row of a removal table: what an expansion leaves after the vertex.
 
-    `terms` sums the integer coefficient per removal factors over every term
+    `terms` sums the integer coefficient per removed parts over every term
     and removal option that leave `leftover` with the removed balance
     `balance`; `qcost` is the least q-valuation among them, `grades` the
     degree grades of the leftover, and `imbalance`, `floor` and `total` its
-    parts' shape (see `_shape`).  The row's weight, the numerators of the sum
-    of the terms' removal weights, is built on first use.
+    kept parts' shape (see `_group_removals`).  The row's weight, the
+    numerators of the sum of the terms' removal weights, is built on first
+    use.
     """
 
     __slots__ = ("index", "leftover", "balance", "qcost", "terms", "imbalance",
                  "floor", "total", "grades", "_weight")
 
-    def __init__(self, index, leftover, removal, shape, grades):
+    def __init__(self, index, leftover, option, grades):
         self.index = index
         self.leftover = leftover
-        self.balance = removal.balance
-        self.qcost = removal.qcost
+        self.qcost, self.balance, _, _, _, _, self.imbalance, self.floor, self.total = option
         self.terms = {}
-        self.imbalance, self.floor, self.total = shape
         self.grades = grades
         self._weight = None
 
     def weight(self, removal_nums):
         if self._weight is None:
-            self._weight = list(map(sum, zip(*([c * x for x in removal_nums(factors)]
-                                               for factors, c in self.terms.items() if c))))
+            self._weight = list(map(sum, zip(*([c * x for x in removal_nums(removed)]
+                                               for removed, c in self.terms.items() if c))))
         return self._weight
 
 
@@ -630,13 +617,14 @@ def _contract_trace(expansions, order, contract, trace_word, ring=None,
                     grades=lambda leftover: _BALANCED):
     """The removal walker of both settings.
 
-    contract(expansion) yields (removal, leftover, factor) for every term and
-    kept removal option of one expansion, given with integer coefficients,
-    and trace_word(leftovers) traces a word of leftovers; a leftover is
-    hashable and is its own key.  Each distinct expansion object is scaled
-    once to integer coefficients over a common denominator and contracted
-    into the vertex once, into a table whose rows are keyed by the leftover
-    and the removed balance (rows whose summed coefficients all cancel are
+    contract(expansion) yields (leftover, factor, option) for every term and
+    kept removal option (see `_group_removals`) of one expansion, given with
+    integer coefficients, and trace_word(leftovers) traces a word of
+    leftovers; a leftover is hashable and is its own key.  Each distinct
+    expansion object is scaled once to integer coefficients over a common
+    denominator and contracted into the vertex once, into a table whose rows
+    are keyed by the leftover and the removed balance and hold the integer
+    factor summed per removed parts (rows whose factors all cancel are
     dropped).  Tuples of rows are walked with pruning by q-cost, by removed
     balance, by the leftover parts, which must pair every mode n with a mode
     -n for the trace to be nonzero, and by degree: grades(leftover) is the
@@ -652,23 +640,22 @@ def _contract_trace(expansions, order, contract, trace_word, ring=None,
     if not expansions:
         return trace_word(())
     tables = {}  # id of a distinct expansion -> (its rows, its denominator)
-    shapes = {}  # leftover parts -> _shape
     for expansion in expansions:
         if id(expansion) in tables:
             continue
         den = lcm(*(c.denominator for c, _ in expansion))
         scaled = [(c.numerator * (den // c.denominator), item) for c, item in expansion]
         rows = {}
-        for removal, leftover, factor in contract(scaled):
-            row = rows.get((leftover, removal.balance))
+        for leftover, factor, option in contract(scaled):
+            qcost, balance, removed = option[0], option[1], option[4]
+            row = rows.get((leftover, balance))
             if row is None:
-                shape = shapes.get(removal.remainder)
-                if shape is None:
-                    shape = shapes[removal.remainder] = _shape(removal.remainder)
-                row = rows[leftover, removal.balance] = _Contraction(
-                    len(rows), leftover, removal, shape, grades(leftover))
-            row.qcost = min(row.qcost, removal.qcost)
-            row.terms[removal.factors] = row.terms.get(removal.factors, 0) + factor
+                row = rows[leftover, balance] = _Contraction(
+                    len(rows), leftover, option, grades(leftover))
+            elif qcost < row.qcost:
+                row.qcost = qcost
+            terms = row.terms
+            terms[removed] = terms.get(removed, 0) + factor
         tables[id(expansion)] = [row for row in rows.values() if any(row.terms.values())], den
     den = prod(tables[id(expansion)][1] for expansion in expansions)
     *heads, tail = [tables[id(expansion)][0] for expansion in expansions]
@@ -676,16 +663,13 @@ def _contract_trace(expansions, order, contract, trace_word, ring=None,
     tails = {}
     for row in tail:
         tails.setdefault((-row.balance, -row.imbalance), []).append(row)
-    removals = {}  # factors -> numerators of prod q^(n p)/(1-q^n)^(p + p~)
+    removals = {}  # removed parts -> _removal_nums
     traced = {}  # leftover word -> [nonzero trace or None, summed weight]
 
-    def removal_nums(factors):
-        nums = removals.get(factors)
+    def removal_nums(removed):
+        nums = removals.get(removed)
         if nums is None:
-            nums = [1] + [0] * order
-            for n, (p, pt) in factors:
-                nums = _divide(_shift(nums, n * p), n, p + pt)
-            removals[factors] = nums
+            nums = removals[removed] = _removal_nums(removed, order)
         return nums
 
     def credit(rows, weight):
@@ -760,14 +744,13 @@ def vertex_trace_sum(expansions, surface, order):
         twists = {}  # (class id, removed positives) -> id of the twisted class
         for coeff, op in expansion:
             cid = op.klass.id()
-            for removal in _group_removals(op.parts, order):
-                twisted, npos = cid, removal.npos
+            for option in _group_removals(op.parts, order):
+                twisted, npos = cid, option[2]
                 if npos:
                     twisted = twists.get((cid, npos))
                     if twisted is None:
                         twisted = twists[cid, npos] = ((one_minus_k ** npos) * op.klass).id()
-                yield (removal, (removal.remainder, twisted),
-                       coeff * removal.comb * (-1) ** npos)
+                yield (option[5], twisted), coeff * option[3], option
 
     degrees = {}  # (length, class id) -> grades
 
@@ -1034,12 +1017,11 @@ def gamma_trace_sum(m, expansions, order):
 
     def contract(expansion):
         for coeff, parts in expansion:
-            for removal in _group_removals(parts, order):
-                if removal.ncount and not m:
-                    continue
-                yield (removal, removal.remainder,
-                       coeff * removal.comb * (-1) ** (removal.ncount - removal.npos)
-                       * m ** removal.ncount)
+            # the options' sign (-1)^npos times (-m)^ncount is (-1)^(ncount - npos) m^ncount
+            for option in _group_removals(parts, order):
+                removed = option[4]
+                if m or not removed:
+                    yield option[5], coeff * option[3] * (-m) ** len(removed), option
 
     return _contract_trace(expansions, order, contract,
                            lambda leftovers: engine.trace(sum(leftovers, ())))

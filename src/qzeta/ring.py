@@ -143,7 +143,7 @@ class MPoly:
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 s = out.get(e, ZERO) + c1 * c2
                 if s:
                     out[e] = s

@@ -308,6 +308,17 @@ class TestFailureModes:
         assert code == 2
         assert len(err.splitlines()) == 1 and err.startswith("error: series JSON")
 
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--check", "nope"),
+        ("expand", 'sum("nope")', "--order", "5"),
+    ], ids=["unknown check", "unknown named sum"])
+    def test_unknown_name_message_is_not_quoted(self, capsys, argv):
+        # a KeyError's message prints as written, not as its repr
+        code, err = self.run_main(capsys, *argv)
+        assert code == 2
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: unknown") and '"' not in err
+
     def test_decompose_directory_exit_2(self, capsys, tmp_path):
         code, err = self.run_main(capsys, "decompose", str(tmp_path), "--order", "1")
         assert code == 2

@@ -631,6 +631,60 @@ class TestVertexTrace:
         assert a.agrees_with(b)
 
 
+def brute_group_removals(parts, order):
+    """Removal options of a group by position subsets, merged by sub-multiset.
+
+    Each option is (qcost, balance, npos, ncount, binomial factor, kept parts,
+    removal series coefficients, kept imbalance, floor, total); the binomial
+    factor counts the position subsets that remove the same sub-multiset.
+    """
+    subsets = Counter()
+    for mask in range(1 << len(parts)):
+        removed = [p for i, p in enumerate(parts) if mask >> i & 1]
+        kept = [p for i, p in enumerate(parts) if not mask >> i & 1]
+        if sum(p for p in removed if p > 0) <= order:
+            subsets[tuple(sorted(removed)), tuple(sorted(kept))] += 1
+    one = QSeries.one(order)
+    out = Counter()
+    for (removed, kept), binomial in subsets.items():
+        series = one
+        for p in removed:
+            qn = QSeries([int(i == abs(p)) for i in range(order + 1)])
+            series = series * (one - qn).inverse() * (qn if p > 0 else one)
+        counts = Counter(kept)
+        run, runs = 0, [0]
+        for p in reversed(kept):
+            run += p
+            runs.append(run)
+        out[(sum(p for p in removed if p > 0), sum(removed),
+             sum(p > 0 for p in removed), len(removed), binomial, kept,
+             tuple(series.coeffs),
+             sum((counts[n] - counts[-n]) * 2 ** (32 * n) for n in set(map(abs, kept))),
+             max(runs), sum(kept))] += 1
+    return out
+
+
+class TestGroupRemovals:
+    def test_options_match_position_subsets(self):
+        rng = random.Random(7)
+        seen = Counter()
+        for _ in range(400):
+            parts = tuple(rng.choice((-4, -3, -2, -1, 1, 2, 3, 4))
+                          for _ in range(rng.randint(0, 6)))
+            order = rng.randint(0, 12)
+            got = Counter()
+            for (qcost, balance, npos, signed, removed, kept, imbalance, floor,
+                 total) in fock._group_removals(parts, order):
+                got[(qcost, balance, npos, len(removed), signed * (-1) ** npos, kept,
+                     tuple(fock._removal_nums(removed, order)), imbalance, floor,
+                     total)] += 1
+            assert got == brute_group_removals(parts, order), (parts, order)
+            seen["repeated"] += len(set(parts)) < len(parts)
+            seen["n and -n"] += any(-p in parts for p in parts)
+            seen["cut"] += sum(p for p in parts if p > 0) > order
+        assert min(seen.values()) > 50, seen
+
+
 def grade_sums(word):
     """Every sum over the groups of 2(length - 2) + d, d a degree of its class."""
     sums = {0}

@@ -110,7 +110,7 @@ def explicit_term_sum(spec):
 
 
 def walker_golden_cases():
-    """name -> series JSON of the walker's two-point and three-entry series."""
+    """name -> series JSON of the walker's series, two to four expansions a walk."""
     out = {}
     for K_trivial, order in ((False, 8), (True, 17)):
         surf = SurfaceModel(K_trivial=K_trivial)
@@ -130,7 +130,28 @@ def walker_golden_cases():
             ch1ch1_reduced(SurfaceModel(K_trivial=K_trivial), 12))
     for m in range(4):
         out[f"equiv_ch1ch1 m={m} order 10"] = series_to_json(equiv_ch1ch1(m, 10))
+    # wider groups: four and five parts, repeated parts, n and -n in one group
+    for ks, order in (((2, 2), 8), ((1, 3), 8), ((1, 1, 1, 1), 6)):
+        ops = {k: equiv_chern_op(k, order) for k in set(ks)}
+        out[f"gamma_trace_sum m=3 ks={ks} order {order}"] = series_to_json(
+            gamma_trace_sum(3, [ops[k] for k in ks], order))
+    for K_trivial in (False, True):
+        surf = SurfaceModel(K_trivial=K_trivial)
+        for i, word in enumerate(WIDE_WORDS):
+            ops = [DecoratedOp(parts, surf.class_by_name(name)) for parts, name in word]
+            out[f"vertex_trace word {i} K_trivial={K_trivial} order 8"] = series_to_json(
+                vertex_trace(ops, surf, 8))
     return out
+
+
+# zero-weight words with a group of four or five parts that repeats a part and
+# holds n and -n, drawn from random.Random(17) and kept because they trace to
+# nonzero series on both surfaces
+WIDE_WORDS = (
+    (((3, 1, -1, 1, 3), "1X"), ((-2, -3, -3, 2), "e"), ((1, -2), "e")),
+    (((-3, 1, -3, 3, 2), "1X"), ((3, -1), "L1"), ((-1, 1, -2), "L1")),
+    (((3, -2, -2), "1X"), ((-3, -2, 3, 3), "e")),
+)
 
 
 class TestContractionTables:
