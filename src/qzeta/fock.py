@@ -1,13 +1,13 @@
 """Heisenberg operators and exact trace engines over Hilbert-scheme Fock spaces.
 
-Two settings run one cyclicity recursion (`_TraceEngine`) and differ in the
-letters of a word and in their commutators, whose conventions differ by a
-sign:
+Two settings, whose commutator conventions differ by a sign:
 
 * surface setting: grouped operators a_lambda(alpha) decorated by classes in a
-  symbolic surface cohomology model, [a_m(x), a_n(y)] = -m delta_{m,-n} <x,y>;
+  symbolic surface cohomology model, [a_m(x), a_n(y)] = -m delta_{m,-n} <x,y>,
+  traced by a cyclicity recursion (`SurfaceTraceEngine`);
 * equivariant scalar setting: undecorated operators on the partition Fock
-  space, [a_m, a_n] = +m delta_{m,-n}.
+  space, [a_m, a_n] = +m delta_{m,-n}, traced as a product over modes of
+  thermal Wick sums (`EquivTraceEngine`).
 
 All trace values are REDUCED: the global Euler-product factor is divided out,
 so the empty word traces to 1.
@@ -326,99 +326,24 @@ def commutator(left, right):
             for c, (parts, cid) in _merge(surface, left.key(), right.key())]
 
 
-def _mode_balanced(parts):
-    """Whether every mode n occurs as often as -n: else the trace is zero."""
-    return sorted(parts) == sorted(map(neg, parts))
-
-
-class _TraceEngine:
-    """The cyclicity recursion of both settings, on mode-balanced words.
-
-    A setting gives `_weights(word)`, the weight of each of the word's
-    letters, and `_contract(other, letter)`, the terms of [other, letter] as
-    (integer coefficient, the letters that replace the pair, a ring scalar
-    or None).  A letter of negative weight -n is moved once around the
-    trace, trading the word for shorter words: their traces are summed, those
-    from the right of the letter shifted by q^n, and the sum is divided once
-    by (1 - q^n).  A word with no letter of negative weight goes to
-    `_all_balanced`; only the surface setting has such words, since a
-    nonempty mode-balanced scalar word has a negative part.
-    """
-
-    def __init__(self, order, ring=None):
-        self.order = order
-        self.ring = ring
-        self._memo = {}
-
-    def _zero(self):
-        return QSeries.zero(self.order, self.ring)
-
-    def _one(self):
-        return QSeries.one(self.order, self.ring)
-
-    def _core(self, word):
-        """Trace of a mode-balanced word, memoized once per cyclic rotation.
-
-        Cyclicity, Tr q^N P R = q^(-wt P) Tr q^N R P, makes every rotation of
-        the word a shift of one: the rotation of least prefix weight s <= 0,
-        ties broken by least key.  Only that rotation is evaluated and
-        memoized; the trace is its entry times q^(-s).
-        """
-        if not word:
-            return self._one()
-        weights = self._weights(word)
-        best, low, s = word, 0, 0
-        for k in range(1, len(word)):
-            s += weights[k - 1]
-            if s <= low:
-                rot = word[k:] + word[:k]
-                if s < low or rot < best:
-                    best, low = rot, s
-        hit = self._memo.get(best)
-        if hit is None:
-            hit = self._memo[best] = self._evaluate(best)
-        if not low or not hit._slices:
-            return hit
-        return _series(self.order, self.ring, _finish(
-            {exps: (_shift(nums, -low), den) for exps, (nums, den) in hit._slices.items()}))
-
-    def _evaluate(self, word):
-        weights = self._weights(word)
-        i0 = next((i for i, w in enumerate(weights) if w < 0), None)
-        if i0 is None:
-            return self._all_balanced(word)
-        letter = word[i0]
-        sums = ({}, {})  # commutator terms left and right of the letter
-        for r, other in enumerate(word):
-            if r == i0:
-                continue
-            # every term drops two parts, so the recursion terminates
-            for c, splice, scalar in self._contract(other, letter):
-                if r > i0:
-                    head, tail = word[:i0] + word[i0 + 1:r], word[r + 1:]
-                else:
-                    head, tail = word[:r], word[r + 1:i0] + word[i0 + 1:]
-                inner = self._core(head + splice + tail)
-                _add_scaled(sums[r > i0], inner if scalar is None else inner.scale(scalar), c)
-        return _geometric_step(*sums, -weights[i0], self.order, self.ring)
-
-
-class SurfaceTraceEngine(_TraceEngine):
+class SurfaceTraceEngine:
     """Reduced trace of products of grouped operators against q^(number operator).
 
     A word is a sequence of groups, each a (parts, class id) pair of the
-    surface, run by the shared cyclicity recursion of `_TraceEngine`: a
-    group's weight is the sum of its parts, and a commutator is `_merge`,
-    whose merged group, when empty, is its class integral.  Words in which
-    every group has weight zero are diagonal in the Fock basis after degree
-    filtering and are evaluated by exact number-operator moments.
+    surface; a group's weight is the sum of its parts.  The cyclicity
+    recursion moves a group of negative weight -n once around the trace,
+    trading the word for the words of its `_merge` terms (an empty merged
+    group is its class integral): their traces are summed, those from the
+    right of the group shifted by q^n, and the sum is divided once by
+    (1 - q^n).  Words whose groups all have weight zero are diagonal in the
+    Fock basis after degree filtering: exact number-operator moments.
     """
 
     def __init__(self, surface, order):
-        super().__init__(order, surface.ring)
         self.surface = surface
-
-    # main entry -----------------------------------------------------------
+        self.order = order
+        self.ring = surface.ring
+        self._memo = {}
 
     def trace(self, word):
         """word: sequence of (parts, class id) groups; returns a reduced QSeries."""
@@ -432,24 +357,63 @@ class SurfaceTraceEngine(_TraceEngine):
             c = classes[group[1]].integral()
             scalar = c if scalar is None else scalar * c
             if scalar.is_zero():
-                return self._zero()
-        if not _mode_balanced([p for parts, _ in core for p in parts]):
-            return self._zero()
+                return QSeries.zero(self.order, self.ring)
+        parts = [p for ps, _ in core for p in ps]
+        if sorted(parts) != sorted(map(neg, parts)):  # a mode n unpaired with -n
+            return QSeries.zero(self.order, self.ring)
         result = self._core(tuple(core))
         return result if scalar is None else result.scale(scalar)
 
-    @staticmethod
-    def _weights(word):
-        return [sum(parts) for parts, _ in word]
+    def _core(self, word):
+        """Trace of a mode-balanced word, memoized once per cyclic rotation.
 
-    def _contract(self, other, group):
-        for c, merged in _merge(self.surface, other, group):
-            if merged[0]:
-                yield c, (merged,), None
+        Cyclicity, Tr q^N P R = q^(-wt P) Tr q^N R P, makes every rotation of
+        the word a shift of one: the rotation of least prefix weight s <= 0,
+        ties broken by least key.  Only that rotation is evaluated and
+        memoized; the trace is its entry times q^(-s).
+        """
+        if not word:
+            return QSeries.one(self.order, self.ring)
+        best, low, s = word, 0, 0
+        for k in range(1, len(word)):
+            s += sum(word[k - 1][0])
+            if s <= low:
+                rot = word[k:] + word[:k]
+                if s < low or rot < best:
+                    best, low = rot, s
+        hit = self._memo.get(best)
+        if hit is None:
+            hit = self._memo[best] = self._evaluate(best)
+        if not low or not hit._slices:
+            return hit
+        return _series(self.order, self.ring, _finish(
+            {exps: (_shift(nums, -low), den) for exps, (nums, den) in hit._slices.items()}))
+
+    def _evaluate(self, word):
+        weights = [sum(parts) for parts, _ in word]
+        i0 = next((i for i, w in enumerate(weights) if w < 0), None)
+        if i0 is None:
+            return self._all_balanced(word)
+        group = word[i0]
+        sums = ({}, {})  # commutator terms left and right of the group
+        for r, other in enumerate(word):
+            if r == i0:
                 continue
-            integral = self.surface._classes[merged[1]].integral()
-            if not integral.is_zero():
-                yield c, (), integral
+            # every term drops two parts, so the recursion terminates
+            for c, merged in _merge(self.surface, other, group):
+                if r > i0:
+                    head, tail = word[:i0] + word[i0 + 1:r], word[r + 1:]
+                else:
+                    head, tail = word[:r], word[r + 1:i0] + word[i0 + 1:]
+                if merged[0]:
+                    inner = self._core(head + (merged,) + tail)
+                else:
+                    integral = self.surface._classes[merged[1]].integral()
+                    if integral.is_zero():
+                        continue
+                    inner = self._core(head + tail).scale(integral)
+                _add_scaled(sums[r > i0], inner, c)
+        return _geometric_step(*sums, -weights[i0], self.order, self.ring)
 
     # words whose groups all have weight zero ------------------------------
 
@@ -464,7 +428,7 @@ class SurfaceTraceEngine(_TraceEngine):
         """
         classes = self.surface._classes
         choices = [classes[cid].homogeneous_parts() for _, cid in word]
-        acc = self._zero()
+        acc = QSeries.zero(self.order, self.ring)
         for combo in iproduct(*choices):
             bideg = sum(2 * (len(parts) - 2) + deg
                         for (parts, _), (deg, _) in zip(word, combo))
@@ -512,7 +476,7 @@ class SurfaceTraceEngine(_TraceEngine):
                 weights.append(rising * (stirling[j] * scalar))
             moment = _lambert_moments(weights, n, self.order, self.ring)
             total = moment if total is None else total * moment
-        return self._one() if total is None else total
+        return QSeries.one(self.order, self.ring) if total is None else total
 
 
 def _check_surface(ops, surface):
@@ -830,31 +794,56 @@ def chern_op(k, klass, surface, order):
 # -- equivariant scalar setting -----------------------------------------------
 
 
-class EquivTraceEngine(_TraceEngine):
+class EquivTraceEngine:
     """Reduced scalar traces; words are flat tuples of nonzero parts.
 
-    The shared cyclicity recursion of `_TraceEngine` on single parts: a
-    part's weight is itself, and [a_n, a_{-n}] = n.
+    Letters of different modes commute, so a trace is a product over the
+    modes n = |p|.  By the thermal Wick theorem a mode's trace sums, over the
+    perfect matchings of its a_n with its a_-n, a product over the pairs:
+    n/(1 - q^n) when a_n comes first, n q^n/(1 - q^n) when a_-n does.  With k
+    pairs that is n^k P(q^n)/(1 - q^n)^k, P(x) counting the matchings by
+    their pairs with a_-n first; a mode with no matching makes the trace zero.
     """
 
+    def __init__(self, order):
+        if order < 0:
+            raise ValueError("order must be nonnegative")
+        self.order = order
+
     def trace(self, parts):
-        parts = tuple(parts)
-        if not _mode_balanced(parts):
-            return self._zero()
-        return self._core(parts)
-
-    @staticmethod
-    def _weights(parts):
-        return parts
-
-    @staticmethod
-    def _contract(p, q):
-        return ((p, (), None),) if p == -q else ()
-
-
-@lru_cache(maxsize=None)
-def _equiv_engine(order):
-    return EquivTraceEngine(order)
+        """parts: the word's nonzero parts in operator order; a reduced QSeries."""
+        order = self.order
+        modes = {}
+        for p in parts:
+            modes.setdefault(abs(p), []).append(p)
+        nums = [1] + [0] * order
+        for n, letters in modes.items():
+            if len(letters) == 2 and letters[0] == -letters[1]:
+                # one pair: n/(1 - q^n) if its a_n comes first, else n q^n/(1 - q^n)
+                base = nums if letters[0] > 0 else _shift(nums, n)
+                nums = _divide([n * x for x in base], n, 1)
+                continue
+            # (pairs closed, of them with a_-n first) -> ways to read the letters so
+            # far: a letter stays open or closes a pair with any open other kind
+            ways, ann, cre = {(0, 0): 1}, 0, 0
+            for p in letters:
+                if p > 0:
+                    other, ann = cre, ann + 1
+                else:
+                    other, cre = ann, cre + 1
+                for (j, d), c in list(ways.items()):
+                    if other > j:
+                        key = j + 1, d + (p > 0)
+                        ways[key] = ways.get(key, 0) + c * (other - j)
+            if ann != cre:
+                return QSeries.zero(order)
+            # nums times n^k P(q^n), one shifted add per term, over (1 - q^n)^k
+            out = [0] * (order + 1)
+            for (j, d), c in ways.items():
+                if j == ann:
+                    out = list(map(add, out, [c * x for x in _shift(nums, n * d)]))
+            nums = _divide([n ** ann * x for x in out], n, ann)
+        return _series(order, None, _finish({(): (nums, 1)}))
 
 
 def equiv_trace(parts, order):
@@ -862,7 +851,7 @@ def equiv_trace(parts, order):
     parts = tuple(parts)
     if any(p == 0 for p in parts):
         raise ValueError("parts must be nonzero integers")
-    return _equiv_engine(order).trace(parts)
+    return EquivTraceEngine(order).trace(parts)
 
 
 @lru_cache(maxsize=None)
@@ -1013,7 +1002,9 @@ def gamma_trace_sum(m, expansions, order):
     (coefficient, parts tuple) as returned by `equiv_chern_op`, walked by
     `_contract_trace`.
     """
-    engine = _equiv_engine(order)
+    if any(0 in parts for expansion in expansions for _, parts in expansion):
+        raise ValueError("parts must be nonzero integers")
+    engine = EquivTraceEngine(order)
 
     def contract(expansion):
         for coeff, parts in expansion:
@@ -1037,7 +1028,7 @@ def gamma_trace(m, word, order):
     each removal carries a factor m, and the remainder traces are scalar.
     The result is divided by the empty-word value, so gamma_trace(m, ()) = 1.
     """
-    return gamma_trace_sum(m, [[(1, GenPartition(p).parts)] for p in word], order)
+    return gamma_trace_sum(m, [[(1, tuple(sorted(p)))] for p in word], order)
 
 
 # -- half vertex operator commutation, checked on the Fock basis ----------------

@@ -16,6 +16,14 @@ from .zeta import z_series
 SOLVE_MARGIN = 10
 
 
+def basis_size(weight):
+    """len(basis_monomials(weight)), counted without listing: for each c, the
+    pairs (a, b) with a + 2b <= w = W/2 - 3c number (w//2 + 1)(w + 1 - w//2)."""
+    if weight < 0 or weight % 2:
+        raise ValueError("weight bound must be a nonnegative even integer")
+    return sum((w // 2 + 1) * (w + 1 - w // 2) for w in range(weight // 2, -1, -3))
+
+
 def basis_monomials(weight):
     """(a, b, c) exponent triples of Z(2)^a Z(4)^b Z(6)^c, weight 2a+4b+6c <= W."""
     if weight < 0 or weight % 2:
@@ -64,11 +72,11 @@ class QMBasis:
     def __init__(self, weight, order):
         self.weight = weight
         self.order = order
-        self.monomials = basis_monomials(weight)
-        if order < len(self.monomials) + SOLVE_MARGIN:
+        need = basis_size(weight) + SOLVE_MARGIN  # counted, as listing grows as W^3
+        if order < need:
             raise ValueError(
-                f"order {order} too small for a well-posed solve: need at least "
-                f"{len(self.monomials) + SOLVE_MARGIN}")
+                f"order {order} too small for a well-posed solve: need at least {need}")
+        self.monomials = basis_monomials(weight)
         self.series = [_monomial_series(m, order) for m in self.monomials]
 
     def __len__(self):

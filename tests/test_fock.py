@@ -264,6 +264,41 @@ class TestEquivEngines:
             with pytest.raises(ValueError, match="parts must be nonzero integers"):
                 equiv_trace(parts, 5)
 
+    def test_mode_product_matches_oracle_at_every_order(self):
+        # the per-mode product against the brute-force oracle: seeded balanced
+        # words, unbalanced ones, the empty word, and one mode of 1-4 pairs
+        rng = random.Random(7)
+        words = [(), (1,), (-2,), (1, 1, -1), (2, -1, -2, 1, -1)]
+        for pairs in range(1, 5):
+            for _ in range(3):
+                word = [2] * pairs + [-2] * pairs
+                rng.shuffle(word)
+                words.append(tuple(word))
+        for _ in range(40):
+            modes = [rng.randint(1, 4) for _ in range(rng.randint(1, 4))]
+            word = modes + [-n for n in modes]
+            if rng.random() < 0.2:
+                word.append(rng.choice([-3, -1, 2]))
+            rng.shuffle(word)
+            words.append(tuple(word))
+        nonzero = 0
+        for N in range(15):
+            reducer = euler_pow(1, N)
+            for word in words:
+                got = equiv_trace(word, N)
+                nonzero += not got.is_zero()
+                assert got == fock_trace_bruteforce(word, N) * reducer, (word, N)
+        assert nonzero >= 400, nonzero
+
+    def test_order_sweep_keeps_no_engine_alive(self):
+        import gc
+        from qzeta.pipeline import equiv_ch1ch1
+
+        for N in range(4, 13):
+            equiv_ch1ch1(2, N)
+        gc.collect()
+        assert not [o for o in gc.get_objects() if isinstance(o, fock.EquivTraceEngine)]
+
 
 def reference_bruteforce(parts, order):
     """The per-state Fraction walk over every partition of size <= order,
@@ -437,10 +472,10 @@ class TestTraceProperties:
             word = modes + [-n for n in modes]
             rng.shuffle(word)
             word = tuple(word)
-            want = fock.EquivTraceEngine(N)._evaluate(word)
+            want = equiv_trace(word, N)
             assert not want.is_zero(), word
             for s, rot in self._rotations(word, lambda p: p):
-                got = fock.EquivTraceEngine(N)._evaluate(rot)
+                got = equiv_trace(rot, N)
                 assert self._shift_agrees(want, got, s, N), rot
 
     def test_rotations_share_memo_entries(self):
@@ -455,15 +490,6 @@ class TestTraceProperties:
             for _, rot in self._rotations(word, lambda group: sum(group[0])):
                 every.trace(rot)
             assert len(every._memo) == len(one._memo) >= 1, word
-            modes = [rng.randint(1, 3) for _ in range(rng.randint(1, 4))]
-            parts = modes + [-n for n in modes]
-            rng.shuffle(parts)
-            parts = tuple(parts)
-            one, every = fock.EquivTraceEngine(N), fock.EquivTraceEngine(N)
-            one.trace(parts)
-            for _, rot in self._rotations(parts, lambda p: p):
-                every.trace(rot)
-            assert len(every._memo) == len(one._memo) >= 1, parts
 
     def test_linearity_in_decorations(self):
         rng = random.Random(23)
@@ -876,6 +902,13 @@ class TestGammaTrace:
             got = gamma_trace(0, (parts,), 10)
             want = equiv_trace(parts, 10)
             assert got.agrees_with(want)
+
+    def test_zero_part_rejected(self):
+        for parts in ((0,), (0, 1, -1)):
+            with pytest.raises(ValueError, match="parts must be nonzero integers"):
+                gamma_trace_sum(2, [[(1, parts)]], 4)
+            with pytest.raises(ValueError, match="parts must be nonzero integers"):
+                gamma_trace(2, [parts], 4)
 
     def test_even_in_m(self):
         word = ((-2, 1, 1), (-1, -1, 2))

@@ -8,7 +8,7 @@ import pytest
 from qzeta.ring import QSeries
 from qzeta.zeta import bracket, eval_named, z_series
 from qzeta.qmforms import (NotInSpan, QMDecomposition, _eliminate, basis_monomials,
-                           decompose, decompose_mpoly, monomial_name,
+                           basis_size, decompose, decompose_mpoly, monomial_name,
                            monomial_weight, qm_basis)
 from qzeta.fock import SurfaceModel
 from qzeta.pipeline import ch1ch1_reduced, standard_surface
@@ -40,6 +40,20 @@ class TestBasis:
     def test_rejects_odd_weight(self):
         with pytest.raises(ValueError):
             basis_monomials(3)
+
+    def test_size_counts_the_monomials(self):
+        for weight in range(0, 61, 2):
+            assert basis_size(weight) == len(basis_monomials(weight)), weight
+        for weight in (-2, 3):
+            with pytest.raises(ValueError, match="nonnegative even"):
+                basis_size(weight)
+
+    def test_large_weight_refused_before_listing(self):
+        # the basis of weight 10^6 has about 3.5e15 monomials: listing them
+        # first would never return
+        need = basis_size(10 ** 6) + 10
+        with pytest.raises(ValueError, match=f"order 20 too small .* need at least {need}$"):
+            qm_basis(10 ** 6, 20)
 
 
 class TestDecompose:
