@@ -4,7 +4,7 @@ Two settings, whose commutator conventions differ by a sign:
 
 * surface setting: grouped operators a_lambda(alpha) decorated by classes in a
   symbolic surface cohomology model, [a_m(x), a_n(y)] = -m delta_{m,-n} <x,y>,
-  traced by a cyclicity recursion (`SurfaceTraceEngine`);
+  traced as a thermal Wick sum over contraction graphs (`SurfaceTraceEngine`);
 * equivariant scalar setting: undecorated operators on the partition Fock
   space, [a_m, a_n] = +m delta_{m,-n}, traced as a product over modes of
   thermal Wick sums (`EquivTraceEngine`).
@@ -15,12 +15,12 @@ so the empty word traces to 1.
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product as iproduct
+from itertools import chain, permutations, product as iproduct
 from math import comb, factorial, lcm, perm, prod
-from operator import add, neg
+from operator import add
 
-from .ring import (MPolyRing, QSeries, ZERO, _add_into, _add_scaled, _conv, _divide,
-                   _finish, _geometric_step, _lambert_moments, _series, _shift)
+from .ring import (MPolyRing, QSeries, ZERO, _add_into, _conv, _divide, _finish, _series,
+                   _shift)
 
 
 # -- generalized partitions --------------------------------------------------
@@ -95,7 +95,6 @@ class SurfaceModel:
         self.chi_value = chi
         self.K_trivial = bool(K_trivial)
         self.chi = self.ring.const(chi) if chi is not None else self.ring.gen("chi")
-        self._engines = {}
         self._class_ids = {}  # CohClass.key() -> small integer id
         self._classes = []  # id -> the first class given that id
         self._products = {}  # (id, id) -> id of the product, None if it is zero
@@ -146,13 +145,6 @@ class SurfaceModel:
             klass = self._classes[i] * self._classes[j]
             got = self._products[i, j] = None if klass.is_zero() else klass.id()
             return got
-
-    def engine(self, order):
-        eng = self._engines.get(order)
-        if eng is None:
-            eng = SurfaceTraceEngine(self, order)
-            self._engines[order] = eng
-        return eng
 
 
 class CohClass:
@@ -292,195 +284,145 @@ class DecoratedOp:
         return f"a{list(self.parts)}({self.klass!r})"
 
 
-def _merge(surface, left, right):
-    """[a_left(x), a_right(y)] on (parts, class id) groups, as (coeff, group) pairs.
+def commutator(left, right):
+    """[a_{n...}(alpha), a_{m...}(beta)] as a list of (coeff, DecoratedOp).
 
     Each matching pair (n_t, m_j) with n_t = -m_j contributes -n_t times the
     merged group (m_1..m_{j-1}, n's without n_t, m_{j+1}..), decorated by the
     class product; the stated factor order is preserved.
     """
-    (lparts, lid), (rparts, rid) = left, right
-    out = []
-    cid = None
-    for t, nt in enumerate(lparts):
-        if -nt not in rparts:
-            continue
-        rest = lparts[:t] + lparts[t + 1:]
-        for j, mj in enumerate(rparts):
-            if nt == -mj:
-                if cid is None:
-                    cid = surface._product_id(lid, rid)
-                    if cid is None:
-                        return []
-                out.append((-nt, (rparts[:j] + rest + rparts[j + 1:], cid)))
-    return out
+    klass = left.klass * right.klass
+    if klass.is_zero():
+        return []
+    lparts, rparts = left.parts, right.parts
+    return [(-nt, DecoratedOp(rparts[:j] + lparts[:t] + lparts[t + 1:] + rparts[j + 1:], klass))
+            for t, nt in enumerate(lparts) for j, mj in enumerate(rparts) if nt == -mj]
 
 
-def commutator(left, right):
-    """[a_{n...}(alpha), a_{m...}(beta)] as a list of (coeff, DecoratedOp).
+def _wick_graphs(shape, order):
+    """The Wick matchings of a word's groups of parts, counted by graph and q-shift.
 
-    The merge rule of the trace engine (see `_merge`), on decorated operators.
+    Returns (modes, graphs).  modes lists (n, k) for the k pairs of each
+    mode n.  graphs lists (components, nums): a component is the tuple of its
+    groups, followed by the index len(shape) when it has one loop, and
+    nums[s] counts the matchings with those components and q-shift s, the
+    sum of n over the pairs whose a_-n comes first, times prod (-n)^k.  A
+    matching with a component of two or more loops is dropped.  Both lists
+    are empty when a mode's a_n and a_-n cannot be matched.
     """
-    surface = left.klass.surface
-    return [(c, DecoratedOp(parts, surface._classes[cid]))
-            for c, (parts, cid) in _merge(surface, left.key(), right.key())]
+    size = len(shape)
+    letters = {}  # n -> ([(position, group)] of its a_n, the same of its a_-n)
+    position = 0
+    for g, parts in enumerate(shape):
+        for p in parts:
+            letters.setdefault(abs(p), ([], []))[p < 0].append((position, g))
+            position += 1
+    modes, sign, anns, matchings = [], 1, [], []
+    for n, (ann, cre) in letters.items():
+        if len(ann) != len(cre):
+            return (), []
+        modes.append((n, len(ann)))
+        sign *= (-n) ** len(ann)
+        anns += [(n, a, g) for a, g in ann]
+        matchings.append(permutations(cre))
+    graphs = {}  # components -> nums
+    for matched in iproduct(*matchings):
+        # union-find over the groups: a component's root is its least group
+        shift, roots, loops = 0, list(range(size)), [0] * size
+        for (n, a, g), (c, h) in zip(anns, chain.from_iterable(matched)):
+            if c < a:
+                shift += n
+            g, h = roots[g], roots[h]
+            if g > h:
+                g, h = h, g
+            if g == h:
+                loops[g] += 1
+            else:
+                loops[g] += loops[h]
+                roots = [g if r == h else r for r in roots]
+            if loops[g] > 1:  # e^2 = 0
+                break
+        else:
+            if shift <= order:
+                members = {}
+                for g, r in enumerate(roots):
+                    members.setdefault(r, []).append(g)
+                key = tuple(tuple(m) + ((size,) if loops[r] else ()) for r, m in members.items())
+                nums = graphs.get(key)
+                if nums is None:
+                    nums = graphs[key] = [0] * (order + 1)
+                nums[shift] += sign
+    return modes, list(graphs.items())
 
 
 class SurfaceTraceEngine:
     """Reduced trace of products of grouped operators against q^(number operator).
 
     A word is a sequence of groups, each a (parts, class id) pair of the
-    surface; a group's weight is the sum of its parts.  The cyclicity
-    recursion moves a group of negative weight -n once around the trace,
-    trading the word for the words of its `_merge` terms (an empty merged
-    group is its class integral): their traces are summed, those from the
-    right of the group shifted by q^n, and the sum is divided once by
-    (1 - q^n).  Words whose groups all have weight zero are diagonal in the
-    Fock basis after degree filtering: exact number-operator moments.
+    surface, read as letters in operator order: word order, then each group's
+    part order.  By the thermal Wick theorem the trace sums, over the
+    matchings of each mode's a_n with its a_-n, a product over the pairs:
+    -n/(1 - q^n) when the a_n comes first, -n q^n/(1 - q^n) when the a_-n
+    does.  The groups are the vertices of a graph whose edges are the pairs,
+    and a component with b loops (first Betti number) contributes the
+    integral of its groups' class product times e^b, zero for b >= 2.  A
+    group with no parts is a component of its own.  The matchings depend
+    only on the word's parts, so each parts tuple is counted once per engine
+    (`_wick_graphs`).
     """
 
     def __init__(self, surface, order):
+        if order < 0:
+            raise ValueError("order must be nonnegative")
         self.surface = surface
         self.order = order
         self.ring = surface.ring
-        self._memo = {}
+        self._euler = surface.euler().id()
+        self._graphs = {}  # the word's parts -> `_wick_graphs`
+        self._factors = {}  # sorted class ids -> terms of the product of their integrals
 
     def trace(self, word):
         """word: sequence of (parts, class id) groups; returns a reduced QSeries."""
-        classes = self.surface._classes
-        scalar = None
-        core = []
-        for group in word:
-            if group[0]:
-                core.append(group)
-                continue
-            c = classes[group[1]].integral()
-            scalar = c if scalar is None else scalar * c
-            if scalar.is_zero():
-                return QSeries.zero(self.order, self.ring)
-        parts = [p for ps, _ in core for p in ps]
-        if sorted(parts) != sorted(map(neg, parts)):  # a mode n unpaired with -n
-            return QSeries.zero(self.order, self.ring)
-        result = self._core(tuple(core))
-        return result if scalar is None else result.scale(scalar)
-
-    def _core(self, word):
-        """Trace of a mode-balanced word, memoized once per cyclic rotation.
-
-        Cyclicity, Tr q^N P R = q^(-wt P) Tr q^N R P, makes every rotation of
-        the word a shift of one: the rotation of least prefix weight s <= 0,
-        ties broken by least key.  Only that rotation is evaluated and
-        memoized; the trace is its entry times q^(-s).
-        """
-        if not word:
-            return QSeries.one(self.order, self.ring)
-        best, low, s = word, 0, 0
-        for k in range(1, len(word)):
-            s += sum(word[k - 1][0])
-            if s <= low:
-                rot = word[k:] + word[:k]
-                if s < low or rot < best:
-                    best, low = rot, s
-        hit = self._memo.get(best)
-        if hit is None:
-            hit = self._memo[best] = self._evaluate(best)
-        if not low or not hit._slices:
-            return hit
-        return _series(self.order, self.ring, _finish(
-            {exps: (_shift(nums, -low), den) for exps, (nums, den) in hit._slices.items()}))
-
-    def _evaluate(self, word):
-        weights = [sum(parts) for parts, _ in word]
-        i0 = next((i for i, w in enumerate(weights) if w < 0), None)
-        if i0 is None:
-            return self._all_balanced(word)
-        group = word[i0]
-        sums = ({}, {})  # commutator terms left and right of the group
-        for r, other in enumerate(word):
-            if r == i0:
-                continue
-            # every term drops two parts, so the recursion terminates
-            for c, merged in _merge(self.surface, other, group):
-                if r > i0:
-                    head, tail = word[:i0] + word[i0 + 1:r], word[r + 1:]
-                else:
-                    head, tail = word[:r], word[r + 1:i0] + word[i0 + 1:]
-                if merged[0]:
-                    inner = self._core(head + (merged,) + tail)
-                else:
-                    integral = self.surface._classes[merged[1]].integral()
-                    if integral.is_zero():
-                        continue
-                    inner = self._core(head + tail).scale(integral)
-                _add_scaled(sums[r > i0], inner, c)
-        return _geometric_step(*sums, -weights[i0], self.order, self.ring)
-
-    # words whose groups all have weight zero ------------------------------
-
-    def _all_balanced(self, word):
-        """Distribute over homogeneous class components and degree-filter.
-
-        A product of groups has nonzero trace only in operator bidegree
-        (0, 0); with every group of weight zero and length >= 2 the second
-        component 2(length-2) + |class| is a sum of nonnegative terms, so the
-        survivors have every group of length 2 with a degree-0 decoration.
-        Those act diagonally and are integrated out exactly.
-        """
-        classes = self.surface._classes
-        choices = [classes[cid].homogeneous_parts() for _, cid in word]
-        acc = QSeries.zero(self.order, self.ring)
-        for combo in iproduct(*choices):
-            bideg = sum(2 * (len(parts) - 2) + deg
-                        for (parts, _), (deg, _) in zip(word, combo))
-            if bideg != 0:
-                continue
-            diag = []
-            for (parts, _), (deg, part) in zip(word, combo):
-                if len(parts) != 2 or deg != 0 or parts[0] != -parts[1]:
-                    raise AssertionError("unreachable: non-diagonal balanced word")
-                diag.append((parts, part.deg0))
-            acc = acc + self._diagonal(tuple(diag))
-        return acc
-
-    def _diagonal(self, diag):
-        """Reduced trace of a product of (+-n, -+n) groups with scalar classes."""
-        chi = self.surface.chi
-        for i, (parts, c) in enumerate(diag):
-            if parts[0] > 0:
-                # (a_n a_-n)(c 1X) = (a_-n a_n)(c 1X) - n * integral(e * c 1X)
-                n = parts[0]
-                swapped = diag[:i] + (((-n, n), c),) + diag[i + 1:]
-                rest = diag[:i] + diag[i + 1:]
-                return (self._diagonal(swapped)
-                        - self._diagonal(rest).scale(chi * c * n))
-        # canonical groups: (a_-n a_n)(c 1X) = -n c N_n, modes independent
-        by_mode = {}
-        for (parts, c) in diag:
-            n = parts[1]
-            by_mode.setdefault(n, []).append(c)
-        total = None
-        for n, cs in sorted(by_mode.items()):
-            k = len(cs)
-            scalar = self.ring.one
-            for c in cs:
-                scalar = scalar * c * (-n)
-            # E[N_n^k] = sum_{j=1..k} S(k, j) chi (chi+1)...(chi+j-1) q^(nj)/(1-q^n)^j
-            stirling = [1]  # S(i, 0..i), by S(i+1, j) = j S(i, j) + S(i, j-1)
-            for _ in range(k):
-                stirling = [j * a + b for j, (a, b)
-                            in enumerate(zip(stirling + [0], [0] + stirling))]
-            weights = []
-            rising = self.ring.one
-            for j in range(1, k + 1):
-                rising = rising * (chi + (j - 1))
-                weights.append(rising * (stirling[j] * scalar))
-            moment = _lambert_moments(weights, n, self.order, self.ring)
-            total = moment if total is None else total * moment
-        return QSeries.one(self.order, self.ring) if total is None else total
+        shape = tuple([parts for parts, _ in word])
+        got = self._graphs.get(shape)
+        if got is None:
+            got = self._graphs[shape] = _wick_graphs(shape, self.order)
+        modes, graphs = got
+        # a loop joins the Euler class to its component, at index len(word)
+        ids = [cid for _, cid in word] + [self._euler]
+        product_id = self.surface._product_id
+        counts = {}  # sorted class ids of the components -> summed nums
+        for components, nums in graphs:
+            key = []
+            for members in components:
+                cid = ids[members[0]]
+                for g in members[1:]:
+                    if cid is not None:
+                        cid = product_id(cid, ids[g])
+                key.append(cid)
+            if None not in key:  # no component's class product is zero
+                key = tuple(sorted(key))
+                have = counts.get(key)
+                counts[key] = nums if have is None else list(map(add, have, nums))
+        acc = {}
+        for key, nums in counts.items():
+            factor = self._factors.get(key)
+            if factor is None:
+                product = self.ring.one
+                for cid in key:
+                    product = product * self.surface._classes[cid].integral()
+                factor = self._factors[key] = [(exps, v.numerator, v.denominator)
+                                               for exps, v in product.terms.items()]
+            for exps, a, d in factor:
+                _add_into(acc, exps, [a * x for x in nums], d)
+        for nums, _ in acc.values():
+            for n, k in modes:
+                _divide(nums, n, k)
+        return _series(self.order, self.ring, _finish(acc))
 
 
 def _check_surface(ops, surface):
-    # class ids are per surface: a foreign class would alias memo entries
+    # class ids index the surface's own table: a foreign class's id names another class
     if any(op.klass.surface is not surface for op in ops):
         raise ValueError("operator class belongs to another surface model")
 
@@ -489,7 +431,7 @@ def trace_product(word, surface, order):
     """Reduced Tr q^n of a product of grouped operators (no normalization)."""
     word = tuple(word)
     _check_surface(word, surface)
-    return surface.engine(order).trace([op.key() for op in word])
+    return SurfaceTraceEngine(surface, order).trace([op.key() for op in word])
 
 
 # -- vertex-operator trace expansion ------------------------------------------
@@ -699,6 +641,7 @@ def vertex_trace_sum(expansions, surface, order):
     (coefficient, DecoratedOp), walked by `_contract_trace` on leftovers that
     are (parts, class id) groups.
     """
+    engine = SurfaceTraceEngine(surface, order)
     for expansion in expansions:
         _check_surface((op for _, op in expansion), surface)
     classes = surface._classes
@@ -730,7 +673,7 @@ def vertex_trace_sum(expansions, surface, order):
         return got
 
     return _contract_trace(expansions, order, contract,
-                           surface.engine(order).trace, surface.ring, grades)
+                           engine.trace, surface.ring, grades)
 
 
 def vertex_trace(word, surface, order):
@@ -740,7 +683,7 @@ def vertex_trace(word, surface, order):
     removals: positive parts contracted into the vertex contribute
     (-1)^p C(m,p) q^(np)/(1-q^n)^p each, negative parts C(m~,p~)/(1-q^n)^p~,
     the class of group i picks up (1 - K)^(removed positives), and the
-    leftover groups are traced by the recursion engine.  Words whose total
+    leftover groups are traced by the surface engine.  Words whose total
     weight is nonzero vanish after extracting the z^0 coefficient.
 
     Groups here are generalized partitions: parts are read as multisets and

@@ -342,39 +342,6 @@ def _series(order, ring, slices):
     return s
 
 
-def _add_scaled(acc, s, c):
-    """acc += c * s for an integer c; the accumulator owns every list it holds."""
-    for exps, (nums, den) in s._slices.items():
-        _add_into(acc, exps, [c * x for x in nums], den)
-
-
-def _geometric_step(before, after, n, order, ring):
-    """The series (before + q^n after) / (1 - q^n) of two accumulators.
-
-    One shift and one strided division per slice, however many terms were
-    added into the accumulators.
-    """
-    for exps, (nums, den) in after.items():
-        _add_into(before, exps, _shift(nums, n), den)
-    return _series(order, ring, _finish(
-        {exps: (_divide(nums, n, 1), den) for exps, (nums, den) in before.items()}))
-
-
-def _lambert_moments(weights, n, order, ring):
-    """sum_j weights[j-1] q^(nj) / (1 - q^n)^j over j >= 1, weights MPolys of ring.
-
-    The Lambert numerators of q^(nj)/(1-q^n)^j come from those of j - 1 by
-    one shift and one strided division.
-    """
-    acc = {}
-    lam = [1] + [0] * order
-    for w in weights:
-        lam = _divide(_shift(lam, n), n, 1)
-        for exps, v in w.terms.items():
-            _add_into(acc, exps, [v.numerator * x for x in lam], v.denominator)
-    return _series(order, ring, _finish(acc))
-
-
 def _product(a, b):
     """a * b: one convolution per pair of slices."""
     n = min(a.order, b.order)

@@ -1,9 +1,11 @@
 """Trace engines: closed forms, oracle agreement, operator structure."""
+import json
 import random
 from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import comb, factorial
+from pathlib import Path
 
 import pytest
 
@@ -196,8 +198,8 @@ class TestSurfaceAgainstScalarOracle:
     With every part decorated by L1, each commutator is -n <L1, L1> where the
     scalar one is +n, so a word of 2k parts traces to (-<L1, L1>)^k times the
     reduced scalar trace, here taken from `fock_trace_bruteforce`, which
-    uses no trace engine.  Multi-part groups and the diagonal path are not
-    covered.
+    uses no trace engine.  Multi-part groups are not covered here; the
+    golden words of `TestSurfaceWordsGolden` pin them.
     """
 
     @pytest.mark.parametrize("K_trivial", (False, True))
@@ -219,6 +221,49 @@ class TestSurfaceAgainstScalarOracle:
                 mismatches.append(parts)
         assert not mismatches, mismatches
         assert nonzero >= 50, nonzero
+
+
+GOLDEN_SURFACE_WORDS = Path(__file__).with_name("golden_surface_words.json")
+
+
+class TestSurfaceWordsGolden:
+    """Seeded words with nonzero traces, pinned as the cyclicity recursion traced them.
+
+    Each entry names its surface (K_trivial, chi), its order, its groups as
+    [parts, class] with the class a '+'-joined sum of 1X, K, L1, L2, pt and e,
+    and the trace as [exponent vector, denominator, numerators] slices.
+    """
+
+    def test_words_match_golden(self):
+        golden = json.loads(GOLDEN_SURFACE_WORDS.read_text())
+        surfaces = {}
+        for entry in golden:
+            key = entry["K_trivial"], entry["chi"]
+            surf = surfaces.get(key)
+            if surf is None:
+                surf = surfaces[key] = SurfaceModel(K_trivial=key[0], chi=key[1])
+            word = []
+            for parts, spec in entry["word"]:
+                klass = surf.zero_class()
+                for name in spec.split("+"):
+                    klass = klass + surf.class_by_name(name)
+                word.append(DecoratedOp(parts, klass))
+            got = trace_product(word, surf, entry["order"])
+            want = {tuple(exps): [F(x, den) for x in nums]
+                    for exps, den, nums in entry["slices"]}
+            assert {exps: list(s.coeffs) for exps, s in got.by_monomial().items()} == want, \
+                entry["word"]
+        # the shapes the pinned words cover
+        words = [[parts for parts, _ in entry["word"]] for entry in golden]
+        assert len(golden) >= 120
+        assert {(e["K_trivial"], e["chi"]) for e in golden} == {
+            (False, None), (False, 3), (True, None), (True, 3)}
+        assert {e["order"] for e in golden} == {6, 7, 8, 9}
+        assert sum(all(sum(g) == 0 for g in w) for w in words) >= 40
+        assert sum(any(-p in g for g in w for p in g) for w in words) >= 40
+        assert sum(len(w) >= 4 for w in words) >= 20
+        assert any(not g for w in words for g in w)
+        assert all(e["slices"] for e in golden)
 
 
 class TestEquivEngines:
@@ -405,7 +450,7 @@ class TestBruteForceOracle:
 
 
 class TestTraceProperties:
-    """Internal consistency laws of the surface recursion engine."""
+    """Internal consistency laws of the surface trace engine."""
 
     def setup_method(self):
         self.N = 12
@@ -449,18 +494,18 @@ class TestTraceProperties:
         return rotated.agrees_with(QSeries.monomial(s, N, ring=ring) * whole)
 
     def test_cyclic_shift(self):
-        # Tr q^n P R = q^(-weight P) Tr q^n R P for every rotation R P.  Each
-        # rotation is evaluated by the recursion on a fresh engine, so no
-        # memo entry of one rotation stands in for another.
+        # Tr q^n P R = q^(-weight P) Tr q^n R P for every rotation R P.  The
+        # engine sums Wick matchings and never rotates a word, so this checks
+        # the rotation law itself.
         rng = random.Random(17)
         surf, N = self.surf, self.N
         nonzero = 0
         for _ in range(30):
             word = tuple(self._balanced_word(rng, surf))
-            want = fock.SurfaceTraceEngine(surf, N)._evaluate(word)
+            want = fock.SurfaceTraceEngine(surf, N).trace(word)
             nonzero += not want.is_zero()
             for s, rot in self._rotations(word, lambda group: sum(group[0])):
-                got = fock.SurfaceTraceEngine(surf, N)._evaluate(rot)
+                got = fock.SurfaceTraceEngine(surf, N).trace(rot)
                 assert self._shift_agrees(want, got, s, N, surf.ring), (word, rot)
         assert nonzero >= 5, nonzero
 
@@ -477,19 +522,6 @@ class TestTraceProperties:
             for s, rot in self._rotations(word, lambda p: p):
                 got = equiv_trace(rot, N)
                 assert self._shift_agrees(want, got, s, N), rot
-
-    def test_rotations_share_memo_entries(self):
-        # every rotation is memoized under one rotation: tracing all of them
-        # adds as many entries as tracing one
-        rng = random.Random(29)
-        surf, N = self.surf, self.N
-        for _ in range(20):
-            word = tuple(self._balanced_word(rng, surf))
-            one, every = fock.SurfaceTraceEngine(surf, N), fock.SurfaceTraceEngine(surf, N)
-            one.trace(word)
-            for _, rot in self._rotations(word, lambda group: sum(group[0])):
-                every.trace(rot)
-            assert len(every._memo) == len(one._memo) >= 1, word
 
     def test_linearity_in_decorations(self):
         rng = random.Random(23)
@@ -637,6 +669,17 @@ class TestVertexTrace:
     def test_empty_word(self):
         got = vertex_trace([], self.surf, self.N)
         assert got.agrees_with(QSeries.one(self.N, self.R))
+
+    def test_negative_order_rejected(self):
+        surf = self.surf
+        op = DecoratedOp((-1, 1), surf.one())
+        for order in (-1, -3):
+            with pytest.raises(ValueError, match="order must be nonnegative"):
+                vertex_trace([DecoratedOp((-1,), surf.one())], surf, order)
+            with pytest.raises(ValueError, match="order must be nonnegative"):
+                vertex_trace_sum([[(1, op)], [(F(1, 2), op)]], surf, order)
+            with pytest.raises(ValueError, match="order must be nonnegative"):
+                trace_product([op], surf, order)
 
     def test_chern_factor_order_irrelevant(self):
         # cup products commute, so the engine must not care about factor order

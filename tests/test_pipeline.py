@@ -7,8 +7,8 @@ import pytest
 
 from qzeta.ring import MPoly, QSeries, euler_pow, series_to_json
 from qzeta.zeta import eval_named, z_series
-from qzeta.fock import (DecoratedOp, SurfaceModel, chern_op, equiv_chern_op,
-                        gamma_trace, gamma_trace_sum, vertex_trace)
+from qzeta.fock import (DecoratedOp, SurfaceModel, SurfaceTraceEngine, chern_op,
+                        equiv_chern_op, gamma_trace, gamma_trace_sum, vertex_trace)
 from qzeta.pipeline import (CHECKS, FSeriesSpec, ch1ch1_reduced, equiv_ch1ch1,
                             f00_expected, f10_expected, f111_component_check,
                             f_series_reduced, h_component_closed_form,
@@ -202,21 +202,14 @@ class TestContractionTables:
     def test_words_whose_grades_cannot_balance_are_not_traced(self, monkeypatch):
         from tests.test_fock import grade_sums
         surf, order = SurfaceModel(K_trivial=True), 10
-        engine = surf.engine(order)
-        real, words, depth = engine.trace, [], [0]
+        real, words = SurfaceTraceEngine.trace, []
 
-        def top_level(word):
-            # the walker's calls only, not the engine's recursion; the engine
-            # reads (parts, class id) groups
-            if not depth[0]:
-                words.append([DecoratedOp(parts, surf._classes[cid]) for parts, cid in word])
-            depth[0] += 1
-            try:
-                return real(word)
-            finally:
-                depth[0] -= 1
+        def spy(engine, word):
+            # the engine reads (parts, class id) groups
+            words.append([DecoratedOp(parts, surf._classes[cid]) for parts, cid in word])
+            return real(engine, word)
 
-        monkeypatch.setattr(engine, "trace", top_level)
+        monkeypatch.setattr(SurfaceTraceEngine, "trace", spy)
         f_series_reduced(FSeriesSpec(((1, surf.one()), (1, surf.one())), surf, order))
         # 486 words reach the engine when every leftover word is traced
         assert len(words) < 486
@@ -227,19 +220,13 @@ class TestContractionTables:
         # the walker sums each tuple's mode imbalance; one that leaves some
         # mode n without a -n traces to zero and must not reach the engine
         surf, order = SurfaceModel(K_trivial=K_trivial), 5
-        engine = surf.engine(order)
-        real, words, depth = engine.trace, [], [0]
+        real, words = SurfaceTraceEngine.trace, []
 
-        def top_level(word):
-            if not depth[0]:
-                words.append([p for parts, _ in word for p in parts])
-            depth[0] += 1
-            try:
-                return real(word)
-            finally:
-                depth[0] -= 1
+        def spy(engine, word):
+            words.append([p for parts, _ in word for p in parts])
+            return real(engine, word)
 
-        monkeypatch.setattr(engine, "trace", top_level)
+        monkeypatch.setattr(SurfaceTraceEngine, "trace", spy)
         one, l1 = surf.one(), surf.divisor("L1")
         f_series_reduced(FSeriesSpec(((1, one), (0, l1), (1, one)), surf, order))
         assert words
@@ -411,7 +398,6 @@ class TestRegistry:
         # a long-lived process that sweeps orders must not keep every
         # surface and its engines
         import gc
-        from qzeta.fock import SurfaceTraceEngine
 
         def live_engines():
             gc.collect()

@@ -21,7 +21,8 @@ NOT_LOADED_BY_IMPORT = ("logging", "traceback", "dataclasses", "inspect", "ast",
 # helpers they call may name any engine part below; the list may only grow
 ORACLES = ("fock_trace_bruteforce", "gamma_commutation_check")
 ENGINE_NAMES = ("_TraceEngine", "SurfaceTraceEngine", "EquivTraceEngine", "_equiv_engine",
-                "equiv_trace", "trace_product", "_contract_trace", "commutator", "_merge")
+                "equiv_trace", "trace_product", "_contract_trace", "commutator", "_merge",
+                "_wick_graphs")
 
 
 def tracer_layers():
