@@ -24,7 +24,7 @@ from functools import lru_cache
 from .ring import QSeries, euler_pow, series_to_json
 from .zeta import bracket, eisenstein, eval_named, z_series
 from .fock import DecoratedOp, GenPartition, SurfaceModel, trace_product
-from .qmforms import NotInSpan, decompose, monomial_name, qm_basis
+from .qmforms import NotInSpan, basis_monomials, decompose, monomial_name
 from .pipeline import CHECKS, run_checks
 
 DEFAULT_ORDER = 30
@@ -444,8 +444,8 @@ def _load_series_argument(text, order):
 def cmd_decompose(args, out):
     series = _load_series_argument(args.expr, args.order)
     result = decompose(series, args.weight, args.order)
-    basis = qm_basis(args.weight, args.order)
-    names = [monomial_name(m) for m in basis.monomials]
+    monomials = basis_monomials(args.weight)
+    names = [monomial_name(m) for m in monomials]
     if isinstance(result, NotInSpan):
         if args.json:
             _emit_json({"basis": names, "coeffs": None,
@@ -455,7 +455,7 @@ def cmd_decompose(args, out):
             out.write(f"not in span: weight <= {args.weight}, first failing "
                       f"degree {result.first_failing_degree}\n")
         return 0
-    coeffs = [result.coeffs.get(m, Fraction(0)) for m in basis.monomials]
+    coeffs = [result.coeffs.get(m, Fraction(0)) for m in monomials]
     if args.json:
         _emit_json({"basis": names,
                     "coeffs": [[str(c.numerator), str(c.denominator)] for c in coeffs],

@@ -11,16 +11,19 @@ Two settings, whose commutator conventions differ by a sign:
 
 All trace values are REDUCED: the global Euler-product factor is divided out,
 so the empty word traces to 1.
+
+Equivariant Chern coefficients come from a closed form in power sums and
+Bernoulli numbers, and no function here keeps a cache between calls.
 """
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
 from itertools import chain, permutations, product as iproduct
 from math import comb, factorial, lcm, perm, prod
 from operator import add
 
-from .ring import (MPolyRing, QSeries, ZERO, _add_into, _conv, _divide, _finish, _series,
+from .ring import (MPolyRing, ONE, QSeries, ZERO, _add_into, _conv, _divide, _finish, _series,
                    _shift)
+from .zeta import bernoulli
 
 
 # -- generalized partitions --------------------------------------------------
@@ -37,9 +40,6 @@ class GenPartition:
             raise ValueError("parts must be nonzero integers")
         self.parts = parts
 
-    def multiplicities(self):
-        return Counter(self.parts)
-
     @property
     def length(self):
         return len(self.parts)
@@ -52,10 +52,7 @@ class GenPartition:
     @property
     def symmetry_factorial(self):
         """Product of the multiplicity factorials."""
-        out = 1
-        for m in self.multiplicities().values():
-            out *= factorial(m)
-        return out
+        return _symmetry_factorial(self.parts)
 
     def __eq__(self, other):
         return isinstance(other, GenPartition) and self.parts == other.parts
@@ -65,6 +62,16 @@ class GenPartition:
 
     def __repr__(self):
         return f"GenPartition{self.parts}"
+
+
+def _symmetry_factorial(parts):
+    """Product of the multiplicity factorials of sorted nonzero parts: copy j gives j."""
+    out, run, last = 1, 0, 0
+    for p in parts:
+        run = run + 1 if p == last else 1
+        out *= run
+        last = p
+    return out
 
 
 # -- surface cohomology model -------------------------------------------------
@@ -797,22 +804,19 @@ def equiv_trace(parts, order):
     return EquivTraceEngine(order).trace(parts)
 
 
-@lru_cache(maxsize=None)
-def _partitions_of(n, maxpart):
-    if n == 0:
-        return ((),)
-    out = []
-    for p in range(min(n, maxpart), 0, -1):
-        for rest in _partitions_of(n - p, p):
-            out.append((p,) + rest)
-    return tuple(out)
+def _partition_table(order):
+    """[partitions of n for n = 0..order], each in falling order, listed by
+    falling first part, then likewise by the partition of n - p that follows p."""
+    table = [[()]]
+    for n in range(1, order + 1):
+        table.append([(p,) + rest for p in range(n, 0, -1)
+                      for rest in table[n - p] if not rest or rest[0] <= p])
+    return table
 
 
 def all_partition_states(order):
-    out = []
-    for size in range(order + 1):
-        out.extend(_partitions_of(size, size))
-    return out
+    """Every partition of size <= order, by rising size."""
+    return list(chain.from_iterable(_partition_table(order)))
 
 
 def fock_trace_bruteforce(parts, order):
@@ -867,56 +871,51 @@ def fock_trace_bruteforce(parts, order):
 # -- equivariant Chern character operators -------------------------------------
 
 
-def _g_series(n, order):
-    """(e^(n z) - 1)/(n z) expanded to the given z-order."""
-    return QSeries([Fraction(n ** j, factorial(j + 1)) for j in range(order + 1)])
-
-
-@lru_cache(maxsize=None)
 def equiv_chern_coefficient(parts, k):
     """z^k coefficient attached to a_lambda in the equivariant expansion.
 
     For lambda with m_{-n} creations and m_n annihilations this is the
-    z^(k - length + 2) coefficient of
+    z^d coefficient, d = k - length + 2, of
     prod g(nz)^{m_{-n}} * prod g(-nz)^{m_n} / (g(z) g(-z)),
     with g(w) = (e^w - 1)/w; the prefactor z^(length - 2) comes from each
-    factor contributing one power of z against the double pole.
+    factor contributing one power of z against the double pole.  Since
+    log g(w) = sum_m beta_m w^m with beta_1 = 1/2 and beta_m = B_m/(m m!),
+    the series is exp(sum_m beta_m ((-1)^m P_m - 1 - (-1)^m) z^m), where P_m
+    is the m-th power sum of the parts.
     """
-    parts = tuple(sorted(parts))
     d = k - len(parts) + 2
     if d < 0:
         return ZERO
-    num = QSeries.one(d)
-    for p in parts:
-        # creation part -n contributes g(nz), annihilation part n gives g(-nz)
-        num = num * _g_series(-p, d)
-    den = _g_series(1, d) * _g_series(-1, d)
-    return (num * den.inverse()).coeffs[d]
+    logs = [ZERO] + [
+        (Fraction(1, 2) if m == 1 else bernoulli(m) / (m * factorial(m)))
+        * ((-1) ** m * sum(p ** m for p in parts) - 1 - (-1) ** m)
+        for m in range(1, d + 1)]
+    # e_n = (1/n) sum_m m logs_m e_(n-m) for e = exp(sum_m logs_m z^m)
+    coeffs = [ONE]
+    for n in range(1, d + 1):
+        coeffs.append(sum(m * logs[m] * coeffs[n - m] for m in range(1, n + 1)) / n)
+    return coeffs[d]
 
 
 def _zero_weight_partitions(max_length, bound):
-    """Canonical generalized partitions of 0 with length <= max_length, parts <= bound."""
+    """Canonical generalized partitions of 0 with length <= max_length, parts <= bound,
+    by length, then lexicographically; the last part is solved for."""
     out = [()]
 
-    def extend(prefix, length, weight):
-        if length and weight == 0:
-            out.append(tuple(prefix))
-        if length == max_length:
+    def extend(prefix, left, weight):
+        # the `left` parts still to place lie in [last part, bound] and cancel weight
+        lo = max(prefix[-1] if prefix else -bound, -weight - (left - 1) * bound)
+        hi = -weight // left
+        if left == 2:
+            out.extend(prefix + (p, -weight - p) for p in range(lo, hi + 1) if p)
             return
-        start = prefix[-1] if prefix else -bound
-        for p in range(start, bound + 1):
-            if p == 0:
-                continue
-            # need the remaining parts (each <= bound) to cancel the weight
-            remaining = max_length - length - 1
-            if weight + p > remaining * bound or weight + p < -remaining * bound:
-                continue
-            prefix.append(p)
-            extend(prefix, length + 1, weight + p)
-            prefix.pop()
+        for p in range(lo, hi + 1):
+            if p:
+                extend(prefix + (p,), left - 1, weight + p)
 
-    extend([], 0, 0)
-    return sorted(set(out), key=lambda t: (len(t), t))
+    for length in range(2, max_length + 1):
+        extend((), length, 0)
+    return out
 
 
 def equiv_chern_op(k, order):
@@ -930,8 +929,7 @@ def equiv_chern_op(k, order):
     for parts in _zero_weight_partitions(k + 2, order):
         c = equiv_chern_coefficient(parts, k)
         if c:
-            sym = GenPartition(parts).symmetry_factorial if parts else 1
-            out.append((c / sym, parts))
+            out.append((c / _symmetry_factorial(parts), parts))
     return out
 
 
@@ -980,23 +978,19 @@ def gamma_trace(m, word, order):
 # image of one state as (state', degree, integer numerator).
 
 
-def _gamma_minus_row(state, scale, budget):
+def _gamma_minus_row(state, scale, budget, table):
     """Gamma_-(scale, y): add a multiset mu of parts, |mu| = a <= budget.
 
     The coefficient is scale^l(mu) y^a / z_mu with z_mu = prod n^k k!.  Since
     a!/z_mu is an integer (it counts the permutations of cycle type mu), the
     row holds scale^l(mu) a!/z_mu over the denominator a!, in rising a.
+    table is a `_partition_table` of order at least budget.
     """
     row = []
     for a in range(budget + 1):
         fa = factorial(a)
-        for mu in _partitions_of(a, a):
-            # z_mu = prod n^k k!, one factor n*j for the j-th part n
-            z, run, last = 1, 0, 0
-            for n in mu:
-                run = run + 1 if n == last else 1
-                z *= n * run
-                last = n
+        for mu in table[a]:
+            z = prod(mu) * _symmetry_factorial(mu)
             row.append((tuple(sorted(state + mu, reverse=True)), a,
                         scale ** len(mu) * fa // z))
     return row
@@ -1035,12 +1029,13 @@ def gamma_commutation_check(pairing, order, window=6):
         raise ValueError("window must be at least 1")
     c, cp = pairing, 1
     cap = order + window
+    table = _partition_table(cap)
     minus, plus = {}, {}
 
     def gm(state):
         row = minus.get(state)
         if row is None:
-            row = minus[state] = _gamma_minus_row(state, cp, cap - sum(state))
+            row = minus[state] = _gamma_minus_row(state, cp, cap - sum(state), table)
         return row
 
     def gp(state):
@@ -1049,7 +1044,7 @@ def gamma_commutation_check(pairing, order, window=6):
             row = plus[state] = _gamma_plus_row(state, c, window)
         return row
 
-    states = all_partition_states(order)
+    states = list(chain.from_iterable(table[:order + 1]))
 
     # [Gamma_-(x), Gamma_-(y)] = 0.  A path state -> s1 -> s2 adds its first
     # multiset in y and its second in x under Gamma_-(x) Gamma_-(y), and the

@@ -5,7 +5,9 @@ brackets [s1,...,sl] (numerator polynomials t*P_{s-1}(t)/(s-1)! built from
 Eulerian polynomials) and the multiple q-zeta values Z(s1,...,sl) (half-power
 numerators t^(s/2), resp. t^((s-1)/2)(t+1) for odd s).  The nested-sum
 evaluator services every displayed multi-sum: free indices, strict chains,
-and an equal-sum constraint between two index groups.
+and an equal-sum constraint between two index groups.  Eulerian and
+Bernoulli numbers come from their recurrences; only the Bernoulli table,
+keyed by its last index, is cached for the process.
 """
 from fractions import Fraction
 from functools import lru_cache
@@ -17,32 +19,27 @@ from .ring import ONE, ZERO, QSeries, _divide, as_fraction
 # -- Eulerian polynomials and numerator families ---------------------------
 
 
-@lru_cache(maxsize=None)
 def eulerian(s):
-    """Coefficients of t*P_{s-1}(t), solved from its generating identity.
+    """Coefficients of t*P_{s-1}(t): 0, then row s-1 of the Eulerian triangle.
 
-    t*P_{s-1}(t) = (1-t)^s * sum_{d>=1} d^(s-1) t^d, truncated at degree s;
-    the product is exactly polynomial, so the truncation is lossless.
+    The rows come from A(n, k) = (k+1) A(n-1, k) + (n-k) A(n-1, k-1), with
+    A(0, 0) = 1; they satisfy t*P_{s-1}(t) = (1-t)^s * sum_{d>=1} d^(s-1) t^d.
     """
     if s < 1:
         raise ValueError("index must be a positive integer")
-    # (1-t)^s mod t^(s+1)
-    binom = QSeries([(-1) ** k * comb(s, k) for k in range(s + 1)])
-    rhs = QSeries([0] + [d ** (s - 1) for d in range(1, s + 1)])
-    out = list((binom * rhs).coeffs)
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return tuple(out)
+    row = [1]
+    for n in range(1, s):
+        prev = row + [0]  # prev[-1] = 0 stands for A(n-1, -1)
+        row = [(k + 1) * prev[k] + (n - k) * prev[k - 1] for k in range(n)]
+    return (ZERO,) + tuple(map(Fraction, row))
 
 
-@lru_cache(maxsize=None)
 def _bracket_numerator(s):
     """t*P_{s-1}(t)/(s-1)!; starts at t^1."""
     f = Fraction(1, factorial(s - 1))
     return tuple(c * f for c in eulerian(s))
 
 
-@lru_cache(maxsize=None)
 def _zeta_numerator(s):
     """t^(s/2) for even s, t^((s-1)/2)*(t+1) for odd s >= 3."""
     if s < 2:
@@ -113,10 +110,13 @@ def z_series(indices, order):
 
 @lru_cache(maxsize=None)
 def _bernoulli_list(n):
-    """B_0..B_n from inverting the exponential generating series of (e^t-1)/t."""
-    # f = (e^t - 1)/t has coefficients 1/(k+1)!; g = 1/f gives B_k = k! g_k
-    g = QSeries([Fraction(1, factorial(k + 1)) for k in range(n + 1)]).inverse()
-    return tuple(factorial(k) * c for k, c in enumerate(g.coeffs))
+    """B_0..B_n from sum_{j<=m} C(m+1, j) B_j = 0 for m >= 1."""
+    out = [ONE]
+    for m in range(1, n + 1):
+        # B_j = 0 for odd j >= 3, so those terms are skipped
+        out.append(-sum(comb(m + 1, j) * out[j] for j in range(m) if j < 2 or j % 2 == 0)
+                   / (m + 1))
+    return tuple(out)
 
 
 def bernoulli(i):

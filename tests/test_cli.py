@@ -5,7 +5,9 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -544,3 +546,15 @@ class TestSubprocess:
     def test_usage_error(self):
         res = run_cli("expand")  # missing expression
         assert res.returncode == 2
+
+    def test_high_weight_eisenstein_is_fast(self):
+        # B_200 comes from the Bernoulli recurrence; inverting the series of
+        # (e^t - 1)/t, whose denominators are factorials, took over 30 s
+        start = time.perf_counter()
+        res = run_cli("expand", "G(200)", "--order", "3")
+        elapsed = time.perf_counter() - start
+        assert res.returncode == 0, res.stderr
+        values = [F(line.split("\t")[1]) for line in res.stdout.strip().splitlines()]
+        # sigma_199(n)/199! for n = 1, 2, 3
+        assert values[1:] == [F(s, factorial(199)) for s in (1, 1 + 2 ** 199, 1 + 3 ** 199)]
+        assert elapsed < 5, elapsed

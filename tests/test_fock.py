@@ -3,7 +3,7 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 from math import comb, factorial
 from pathlib import Path
 
@@ -907,7 +907,48 @@ class TestChernOps:
             chern_op(2, surf.one(), surf, 5)
 
 
+def series_chern_coefficient(parts, k):
+    """The reference for `equiv_chern_coefficient`: the z^d coefficient,
+    d = k - len(parts) + 2, of prod g(-pz) / (g(z) g(-z)), with
+    g(w) = (e^w - 1)/w, by series products and one inverse."""
+    d = k - len(parts) + 2
+    if d < 0:
+        return F(0)
+
+    def g(n):
+        return QSeries([F(n ** j, factorial(j + 1)) for j in range(d + 1)])
+
+    num = QSeries.one(d)
+    for p in parts:
+        num = num * g(-p)
+    return (num * (g(1) * g(-1)).inverse()).coeffs[d]
+
+
 class TestEquivChernOps:
+    def test_coefficient_matches_series_on_seeded_tuples(self):
+        rng = random.Random(20)
+        values = [p for p in range(-7, 8) if p]
+        for _ in range(1000):
+            parts = tuple(rng.choice(values) for _ in range(rng.randint(0, 5)))
+            k = rng.randint(0, 7)
+            assert equiv_chern_coefficient(parts, k) == series_chern_coefficient(parts, k), \
+                (parts, k)
+
+    def test_coefficient_matches_series_on_zero_weight_partitions(self):
+        for k in range(6):
+            for parts in _zero_weight_partitions(k + 2, 5):
+                assert equiv_chern_coefficient(parts, k) == series_chern_coefficient(parts, k), \
+                    (parts, k)
+
+    def test_zero_weight_partitions_match_filter(self):
+        for max_length in range(6):
+            for bound in range(7):
+                values = [p for p in range(-bound, bound + 1) if p]
+                want = [()] + [parts for length in range(1, max_length + 1)
+                               for parts in combinations_with_replacement(values, length)
+                               if sum(parts) == 0]
+                assert _zero_weight_partitions(max_length, bound) == want, (max_length, bound)
+
     def test_k1_structure(self):
         ops = dict()
         for c, parts in equiv_chern_op(1, 6):
@@ -1000,8 +1041,8 @@ class TestGammaCommutation:
     def test_perturbed_minus_entry_fails(self, monkeypatch):
         minus = fock._gamma_minus_row
 
-        def perturbed(state, scale, budget):
-            row = minus(state, scale, budget)
+        def perturbed(state, scale, budget, table):
+            row = minus(state, scale, budget, table)
             if state == (1,):
                 target, a, num = row[3]
                 row[3] = (target, a, num + 1)
@@ -1014,10 +1055,11 @@ class TestGammaCommutation:
     def test_minus_row_numerators_over_factorial(self):
         # numerator / a! is prod (c'/n)^k / k! over the added parts n, k times each
         cap = 7
+        table = fock._partition_table(cap)
         for scale in (1, 2, -1):
             for state in fock.all_partition_states(cap):
                 budget = cap - sum(state)
-                row = fock._gamma_minus_row(state, scale, budget)
+                row = fock._gamma_minus_row(state, scale, budget, table)
                 assert [a for _, a, _ in row] == sorted(a for _, a, _ in row)
                 added = set()
                 for target, a, num in row:

@@ -26,9 +26,9 @@ class TestEulerian:
         assert eulerian(3) == (F(0), F(1), F(1))    # t + t^2
 
     def test_defining_identity(self):
-        # t P_{s-1}(t) = (1-t)^s sum d^{s-1} t^d, matched beyond the solve range
+        # t P_{s-1}(t) = (1-t)^s sum d^{s-1} t^d, matched beyond the degree of P_{s-1}
         from math import comb
-        for s in range(1, 8):
+        for s in range(1, 13):
             depth = s + 6
             rhs = [F(0)] * (depth + 1)
             binom = [F((-1) ** k * comb(s, k)) for k in range(s + 1)]
