@@ -19,7 +19,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import chain, permutations, product as iproduct
 from math import comb, factorial, lcm, perm, prod
-from operator import add
+from operator import add, mul
 
 from .ring import (MPolyRing, ONE, QSeries, ZERO, _add_into, _conv, _divide, _finish, _series,
                    _shift)
@@ -192,13 +192,15 @@ class CohClass:
         if not isinstance(other, CohClass):
             return self.scale(other)
         s = self.surface
-        deg0 = self.deg0 * other.deg0
-        deg2 = {}
-        for d, c in other.deg2.items():
-            deg2[d] = self.deg0 * c
-        for d, c in self.deg2.items():
-            deg2[d] = deg2.get(d, s.ring.zero) + other.deg0 * c
-        deg4 = self.deg0 * other.deg4 + other.deg0 * self.deg4
+        # a product is formed only when both of its factors are nonzero
+        deg0 = self.deg0 * other.deg0 if self.deg0.terms and other.deg0.terms else s.ring.zero
+        deg2, deg4 = {}, s.ring.zero
+        for x, y in ((self, other), (other, self)):
+            if x.deg0.terms:
+                for d, c in y.deg2.items():
+                    deg2[d] = deg2[d] + x.deg0 * c if d in deg2 else x.deg0 * c
+                if y.deg4.terms:
+                    deg4 = deg4 + x.deg0 * y.deg4
         for d1, c1 in self.deg2.items():
             for d2, c2 in other.deg2.items():
                 deg4 = deg4 + c1 * c2 * s.pairing_symbol(d1, d2)
@@ -306,39 +308,41 @@ def commutator(left, right):
             for t, nt in enumerate(lparts) for j, mj in enumerate(rparts) if nt == -mj]
 
 
-def _wick_graphs(shape, order):
-    """The Wick matchings of a word's groups of parts, counted by graph and q-shift.
+def _wick_graphs(shape):
+    """The Wick matchings of a word's shape, counted by graph and shift vector.
 
-    Returns (modes, graphs).  modes lists (n, k) for the k pairs of each
-    mode n.  graphs lists (components, nums): a component is the tuple of its
-    groups, followed by the index len(shape) when it has one loop, and
-    nums[s] counts the matchings with those components and q-shift s, the
-    sum of n over the pairs whose a_-n comes first, times prod (-n)^k.  A
-    matching with a component of two or more loops is dropped.  Both lists
-    are empty when a mode's a_n and a_-n cannot be matched.
+    shape is a word's groups of parts with its modes relabelled 1, 2, ... in
+    order of first appearance, signs kept: the matchings depend on nothing
+    else.  Returns (pairs, graphs).  pairs[l - 1] is the number of pairs of
+    label l.  graphs lists (components, counts): a component is the tuple of
+    its groups, followed by the index len(shape) when it has one loop, and
+    counts maps each vector v, v[l - 1] the number of pairs of label l whose
+    a_-l comes first, to the number of matchings with those components and
+    that vector.  A matching with a component of two or more loops is
+    dropped.  Both lists are empty when a label's a_l and a_-l cannot be
+    matched.
     """
     size = len(shape)
-    letters = {}  # n -> ([(position, group)] of its a_n, the same of its a_-n)
+    letters = {}  # label -> ([(position, group)] of its a_l, the same of its a_-l)
     position = 0
     for g, parts in enumerate(shape):
         for p in parts:
             letters.setdefault(abs(p), ([], []))[p < 0].append((position, g))
             position += 1
-    modes, sign, anns, matchings = [], 1, [], []
-    for n, (ann, cre) in letters.items():
+    pairs, anns, matchings = [], [], []
+    for label, (ann, cre) in letters.items():
         if len(ann) != len(cre):
-            return (), []
-        modes.append((n, len(ann)))
-        sign *= (-n) ** len(ann)
-        anns += [(n, a, g) for a, g in ann]
+            return [], []
+        pairs.append(len(ann))
+        anns += [(label - 1, a, g) for a, g in ann]
         matchings.append(permutations(cre))
-    graphs = {}  # components -> nums
+    graphs = {}  # components -> {shift vector: matchings}
     for matched in iproduct(*matchings):
         # union-find over the groups: a component's root is its least group
-        shift, roots, loops = 0, list(range(size)), [0] * size
-        for (n, a, g), (c, h) in zip(anns, chain.from_iterable(matched)):
+        shift, roots, loops = [0] * len(pairs), list(range(size)), [0] * size
+        for (l, a, g), (c, h) in zip(anns, chain.from_iterable(matched)):
             if c < a:
-                shift += n
+                shift[l] += 1
             g, h = roots[g], roots[h]
             if g > h:
                 g, h = h, g
@@ -350,16 +354,14 @@ def _wick_graphs(shape, order):
             if loops[g] > 1:  # e^2 = 0
                 break
         else:
-            if shift <= order:
-                members = {}
-                for g, r in enumerate(roots):
-                    members.setdefault(r, []).append(g)
-                key = tuple(tuple(m) + ((size,) if loops[r] else ()) for r, m in members.items())
-                nums = graphs.get(key)
-                if nums is None:
-                    nums = graphs[key] = [0] * (order + 1)
-                nums[shift] += sign
-    return modes, list(graphs.items())
+            members = {}
+            for g, r in enumerate(roots):
+                members.setdefault(r, []).append(g)
+            key = tuple(tuple(m) + ((size,) if loops[r] else ()) for r, m in members.items())
+            counts = graphs.setdefault(key, {})
+            shift = tuple(shift)
+            counts[shift] = counts.get(shift, 0) + 1
+    return pairs, list(graphs.items())
 
 
 class SurfaceTraceEngine:
@@ -373,9 +375,16 @@ class SurfaceTraceEngine:
     does.  The groups are the vertices of a graph whose edges are the pairs,
     and a component with b loops (first Betti number) contributes the
     integral of its groups' class product times e^b, zero for b >= 2.  A
-    group with no parts is a component of its own.  The matchings depend
-    only on the word's parts, so each parts tuple is counted once per engine
-    (`_wick_graphs`).
+    group with no parts is a component of its own.
+
+    The matchings depend only on the word's shape, its modes relabelled
+    1, 2, ... in order of first appearance, so each shape is enumerated once
+    per engine (`_wick_graphs`).  The classes are folded in once per shape
+    and class ids: graphs whose components have the same class products
+    merge, and each merged count table keeps the terms of the product of
+    those integrals.  The mode values enter only when a word is evaluated:
+    a vector v shifts by sum n v, each mode signs by (-n)^k and divides by
+    (1 - q^n)^k.
     """
 
     def __init__(self, surface, order):
@@ -385,47 +394,63 @@ class SurfaceTraceEngine:
         self.order = order
         self.ring = surface.ring
         self._euler = surface.euler().id()
-        self._graphs = {}  # the word's parts -> `_wick_graphs`
-        self._factors = {}  # sorted class ids -> terms of the product of their integrals
+        self._graphs = {}  # shape -> `_wick_graphs`
+        self._tables = {}  # (shape, class ids) -> `_table`
 
     def trace(self, word):
         """word: sequence of (parts, class id) groups; returns a reduced QSeries."""
-        shape = tuple([parts for parts, _ in word])
-        got = self._graphs.get(shape)
-        if got is None:
-            got = self._graphs[shape] = _wick_graphs(shape, self.order)
-        modes, graphs = got
-        # a loop joins the Euler class to its component, at index len(word)
-        ids = [cid for _, cid in word] + [self._euler]
-        product_id = self.surface._product_id
-        counts = {}  # sorted class ids of the components -> summed nums
-        for components, nums in graphs:
-            key = []
+        labels, shape = {}, []  # mode -> its label, by first appearance
+        for parts, _ in word:
+            shape.append(tuple([labels.setdefault(abs(p), len(labels) + 1) * (1 if p > 0 else -1)
+                                for p in parts]))
+        key = tuple(shape), tuple([cid for _, cid in word])
+        pairs, table = self._tables.get(key) or self._table(key)
+        order, acc, modes = self.order, {}, list(labels)  # modes: the values by label
+        sign = prod((-n) ** k for n, k in zip(modes, pairs))
+        for terms, counts in table:
+            nums = [0] * (order + 1)
+            for vector, c in counts:
+                s = sum(map(mul, modes, vector))
+                if s <= order:
+                    nums[s] += sign * c
+            for exps, a, d in terms:
+                _add_into(acc, exps, [a * x for x in nums], d)
+        for nums, _ in acc.values():
+            for n, k in zip(modes, pairs):
+                _divide(nums, n, k)
+        return _series(order, self.ring, _finish(acc))
+
+    def _table(self, key):
+        """Build and keep the table of a (shape, class ids) key: the pair counts of
+        the shape's labels, and its graphs merged by their components' class
+        products, each with the terms of its integrals' product."""
+        shape, ids = key
+        pairs, graphs = self._graphs.get(shape) or self._graphs.setdefault(shape, _wick_graphs(shape))
+        # a loop joins the Euler class to its component, at index len(shape)
+        ids += (self._euler,)
+        product_id, classes = self.surface._product_id, self.surface._classes
+        merged = {}  # sorted class products of the components -> {vector: matchings}
+        for components, counts in graphs:
+            cids = []
             for members in components:
                 cid = ids[members[0]]
                 for g in members[1:]:
                     if cid is not None:
                         cid = product_id(cid, ids[g])
-                key.append(cid)
-            if None not in key:  # no component's class product is zero
-                key = tuple(sorted(key))
-                have = counts.get(key)
-                counts[key] = nums if have is None else list(map(add, have, nums))
-        acc = {}
-        for key, nums in counts.items():
-            factor = self._factors.get(key)
-            if factor is None:
-                product = self.ring.one
-                for cid in key:
-                    product = product * self.surface._classes[cid].integral()
-                factor = self._factors[key] = [(exps, v.numerator, v.denominator)
-                                               for exps, v in product.terms.items()]
-            for exps, a, d in factor:
-                _add_into(acc, exps, [a * x for x in nums], d)
-        for nums, _ in acc.values():
-            for n, k in modes:
-                _divide(nums, n, k)
-        return _series(self.order, self.ring, _finish(acc))
+                cids.append(cid)
+            if None not in cids:  # no component's class product is zero
+                into = merged.setdefault(tuple(sorted(cids)), {})
+                for vector, c in counts.items():
+                    into[vector] = into.get(vector, 0) + c
+        table = []
+        for cids, counts in merged.items():
+            integrals = [classes[cid].integral() for cid in cids] or [self.ring.one]
+            terms = prod(integrals[1:], start=integrals[0]).terms.items()
+            if terms:
+                table.append(([(exps, v.numerator, v.denominator) for exps, v in terms],
+                              counts.items()))
+        self._tables[key] = pairs, table
+        return pairs, table
 
 
 def _check_surface(ops, surface):
@@ -652,18 +677,17 @@ def vertex_trace_sum(expansions, surface, order):
     for expansion in expansions:
         _check_surface((op for _, op in expansion), surface)
     classes = surface._classes
+    product_id, one_minus_k = surface._product_id, surface.one_minus_K().id()
 
     def contract(expansion):
-        one_minus_k = surface.one_minus_K()
-        twists = {}  # (class id, removed positives) -> id of the twisted class
         for coeff, op in expansion:
+            if op.klass.is_zero():
+                continue  # every word with a zero class traces to zero
             cid = op.klass.id()
             for option in _group_removals(op.parts, order):
-                twisted, npos = cid, option[2]
-                if npos:
-                    twisted = twists.get((cid, npos))
-                    if twisted is None:
-                        twisted = twists[cid, npos] = ((one_minus_k ** npos) * op.klass).id()
+                twisted = cid  # times (1 - K)^npos, a unit
+                for _ in range(option[2]):
+                    twisted = product_id(twisted, one_minus_k)
                 yield (option[5], twisted), coeff * option[3], option
 
     degrees = {}  # (length, class id) -> grades
@@ -1010,48 +1034,41 @@ def _gamma_plus_row(state, scale, bmax, sign=-1):
     return [entry for entry in row if entry[2]]
 
 
-def gamma_commutation_check(pairing, order, window=6):
-    """Verify the half-vertex commutation relations on the truncated Fock basis.
+def _gamma_minus_rows(order, window):
+    """The states of a commutation check and one shared memo of their Gamma_- rows.
 
-    Checks [Gamma_-(x), Gamma_-(y)] = 0 and
-    Gamma_+(c, x) Gamma_-(c', y) = (1 - y/x)^(c c') Gamma_-(c', y) Gamma_+(c, x)
-    entrywise, with the pairing c*c' = `pairing` realized by scalar weights
-    (c, c') = (pairing, 1); monomials y^a x^(-b) are compared for a, b <= window.
-    Uses the surface sign convention, under which the exponent is +pairing.
-    The operators run on states graded up to order + window so that every path
-    contributing to a compared monomial is complete.  Both sides of each
-    relation carry the same factorial denominators per monomial, so only
-    integer numerators are compared.
+    Returns (states, gm): the partitions of size <= order, and gm(state), the
+    row of Gamma_-(1, y) on any state of size <= order + window, built once.
+    The operators run on states graded up to order + window so that every
+    path contributing to a monomial compared within the window is complete.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
     if window < 1:
         raise ValueError("window must be at least 1")
-    c, cp = pairing, 1
     cap = order + window
     table = _partition_table(cap)
-    minus, plus = {}, {}
+    minus = {}
 
     def gm(state):
         row = minus.get(state)
         if row is None:
-            row = minus[state] = _gamma_minus_row(state, cp, cap - sum(state), table)
+            row = minus[state] = _gamma_minus_row(state, 1, cap - sum(state), table)
         return row
 
-    def gp(state):
-        row = plus.get(state)
-        if row is None:
-            row = plus[state] = _gamma_plus_row(state, c, window)
-        return row
+    return list(chain.from_iterable(table[:order + 1])), gm
 
-    states = list(chain.from_iterable(table[:order + 1]))
 
-    # [Gamma_-(x), Gamma_-(y)] = 0.  A path state -> s1 -> s2 adds its first
-    # multiset in y and its second in x under Gamma_-(x) Gamma_-(y), and the
-    # reverse under Gamma_-(y) Gamma_-(x).  Keys are (state, y-degree,
-    # x-degree); y^a x^d carries 1/(a! d!) on both sides.  The second side is
-    # the first with the degrees swapped, so the relation holds when the one
-    # table is symmetric under a <-> d.
+def _gamma_minus_commute(states, gm):
+    """[Gamma_-(x), Gamma_-(y)] = 0 on the states, from the rows of gm.
+
+    A path state -> s1 -> s2 adds its first multiset in y and its second in
+    x under Gamma_-(x) Gamma_-(y), and the reverse under Gamma_-(y)
+    Gamma_-(x).  Keys are (state, y-degree, x-degree); y^a x^d carries
+    1/(a! d!) on both sides.  The second side is the first with the degrees
+    swapped, so the relation holds when the one table is symmetric under
+    a <-> d.
+    """
     for state in states:
         yx = {}
         for s1, a, n1 in gm(state):
@@ -1059,18 +1076,29 @@ def gamma_commutation_check(pairing, order, window=6):
                 yx[s2, a, d] = yx.get((s2, a, d), 0) + n1 * n2
         if any(v != yx.get((s2, d, a), 0) for (s2, a, d), v in yx.items()):
             return False
+    return True
 
-    # prefactor (1 - y/x)^(c c') truncated in powers of y/x
-    e = c * cp
-    if e >= 0:
-        pref = [(-1) ** j * comb(e, j) for j in range(e + 1)]
+
+def _gamma_plus_minus_commute(pairing, states, gm, window):
+    """Gamma_+(c, x) Gamma_-(1, y) = (1 - y/x)^c Gamma_-(1, y) Gamma_+(c, x) on the
+    states, c = pairing, for the monomials y^a x^(-b) with a, b <= window."""
+    plus = {}
+
+    def gp(state):
+        row = plus.get(state)
+        if row is None:
+            row = plus[state] = _gamma_plus_row(state, pairing, window)
+        return row
+
+    # prefactor (1 - y/x)^c truncated in powers of y/x
+    if pairing >= 0:
+        pref = [(-1) ** j * comb(pairing, j) for j in range(pairing + 1)]
     else:
-        pref = [comb(-e + j - 1, j) for j in range(window + 1)]  # (1-u)^e
+        pref = [comb(-pairing + j - 1, j) for j in range(window + 1)]
 
-    # Gamma_+ Gamma_- = prefactor * Gamma_- Gamma_+, compared as a! times the
-    # coefficient of y^a x^(-b); the prefactor's y^j scales a term of the right
-    # side by a!/(a-j)!.  Degrees only grow along a path, so a path stops once
-    # it leaves the window (Gamma_- rows rise in a).
+    # compared as a! times the coefficient of y^a x^(-b); the prefactor's y^j
+    # scales a term of the right side by a!/(a-j)!.  Degrees only grow along a
+    # path, so a path stops once it leaves the window (Gamma_- rows rise in a).
     for state in states:
         diff = {}  # left side minus right side
         for s1, a, n1 in gm(state):
@@ -1090,3 +1118,22 @@ def gamma_commutation_check(pairing, order, window=6):
         if any(diff.values()):
             return False
     return True
+
+
+def gamma_commutation_check(pairing, order, window=6):
+    """Verify the half-vertex commutation relations on the truncated Fock basis.
+
+    Checks [Gamma_-(x), Gamma_-(y)] = 0 and
+    Gamma_+(c, x) Gamma_-(c', y) = (1 - y/x)^(c c') Gamma_-(c', y) Gamma_+(c, x)
+    entrywise, with the pairing c*c' = `pairing` realized by scalar weights
+    (c, c') = (pairing, 1); monomials y^a x^(-b) are compared for a, b <= window.
+    Uses the surface sign convention, under which the exponent is +pairing.
+    Both sides of each relation carry the same factorial denominators per
+    monomial, so only integer numerators are compared.  The first relation
+    does not depend on the pairing: a caller checking several pairings runs
+    `_gamma_minus_commute` once and `_gamma_plus_minus_commute` per pairing,
+    on one `_gamma_minus_rows` memo.
+    """
+    states, gm = _gamma_minus_rows(order, window)
+    return _gamma_minus_commute(states, gm) and _gamma_plus_minus_commute(
+        pairing, states, gm, window)

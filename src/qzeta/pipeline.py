@@ -15,9 +15,9 @@ from .ring import QSeries, euler_pow, lambert_term
 from .zeta import bracket, eisenstein, eval_named, z_series
 from .fock import (DecoratedOp, GenPartition, SurfaceModel, chern_op,
                    equiv_chern_coefficient, equiv_chern_op, equiv_trace,
-                   fock_trace_bruteforce, gamma_commutation_check,
-                   gamma_trace_sum, trace_product, vertex_trace_sum,
-                   _zero_weight_partitions)
+                   fock_trace_bruteforce, gamma_trace_sum, trace_product,
+                   vertex_trace_sum, _gamma_minus_commute, _gamma_minus_rows,
+                   _gamma_plus_minus_commute, _zero_weight_partitions)
 
 
 class CheckResult:
@@ -410,9 +410,12 @@ def check_trij1Xij1X(order):
 @registered("gamma_comm", 12, 0,
             "half-vertex commutation, pairings {0, 1, 2, -1}, window 6")
 def check_gamma_comm(order):
+    # [Gamma_-, Gamma_-] does not depend on the pairing: one pass serves all four
+    states, gm = _gamma_minus_rows(order, 6)
+    minus = _gamma_minus_commute(states, gm)
     for pairing in (0, 1, 2, -1):
         yield (f"pairing {pairing}",
-               gamma_commutation_check(pairing, order, window=6), True)
+               minus and _gamma_plus_minus_commute(pairing, states, gm, 6), True)
 
 
 @registered("str_gk_k1", 8, 2, "index-1 operator = normalized length-3 sum")

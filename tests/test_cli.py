@@ -139,8 +139,11 @@ class TestEval:
 
 # `trace --json` output: the six word families of the `qseries_session`
 # benchmark workload at orders 14 and 38 on the general and the K-trivial
-# surface, four longer words with K, e and pt at chi = 5, and every cyclic
-# rotation of eight seeded three-group words at order 16 on both surfaces
+# surface, four longer words with K, e and pt at chi = 5, every cyclic
+# rotation of eight seeded three-group words at order 16 on both surfaces,
+# and six shape families at order 16 on both surfaces (the last 30 entries):
+# each family's words differ only in their mode values, chosen so that some
+# q-shifts land at the order and some at order + 1
 GOLDEN_TRACE = Path(__file__).with_name("golden_trace.json")
 # `decompose --json` output: seeded rational combinations of basis monomials
 # at weights 2-12 near the least order each weight allows, the same perturbed

@@ -223,6 +223,63 @@ class TestSurfaceAgainstScalarOracle:
         assert nonzero >= 50, nonzero
 
 
+class TestShapeTables:
+    """The surface engine's tables: Wick graphs per shape, classes per (shape, ids).
+
+    A shape is a word's parts with its modes relabelled 1, 2, ... in order of
+    first appearance; the mode values enter only when a word is evaluated.
+    """
+
+    N = 12
+
+    def test_one_enumeration_per_shape(self, monkeypatch):
+        calls = Counter()
+        wick = fock._wick_graphs
+
+        def counted(shape, *rest):
+            calls[shape] += 1
+            return wick(shape, *rest)
+
+        monkeypatch.setattr(fock, "_wick_graphs", counted)
+        surf, N = SurfaceModel(), self.N
+        one, chi = surf.one().id(), surf.chi
+        engine = fock.SurfaceTraceEngine(surf, N)
+        lam = lambda a, m: lambert_term(a, m, 1, order=N).lift(surf.ring)
+        pairs = [(m, mp) for m in range(1, 7) for mp in range(1, 7) if m != mp]
+        for m, mp in pairs:
+            # each group is a one-loop component, integrating 1X e = chi, and
+            # each pair, its a_-n first, gives -n q^n/(1 - q^n)
+            got = engine.trace([((-m, m), one), ((-mp, mp), one)])
+            assert got.agrees_with((lam(m, m) * lam(mp, mp)).scale(chi * chi * m * mp))
+            # one component with one loop; the pair of mp has its a_mp first
+            got = engine.trace([((-m, mp), one), ((-mp, m), one)])
+            assert got.agrees_with((lam(m, m) * lam(0, mp)).scale(chi * m * mp))
+        assert sorted(calls.values()) == [1, 1], calls
+
+    def test_same_shape_other_class_ids(self):
+        surf, N = SurfaceModel(), self.N
+        K, L1, L2 = (surf.class_by_name(name).id() for name in ("K", "L1", "L2"))
+        engine = fock.SurfaceTraceEngine(surf, N)
+        first = engine.trace([((-2,), L1), ((2,), L2)])
+        assert first.agrees_with(lambert_term(2, 2, 1, order=N).lift(surf.ring)
+                                 .scale(-2 * surf.ring.gen("L1L2")))
+        got = engine.trace([((-3,), K), ((3,), L2)])
+        assert got.agrees_with(lambert_term(3, 3, 1, order=N).lift(surf.ring)
+                               .scale(-3 * surf.ring.gen("KL2")))
+
+    @pytest.mark.parametrize("K_trivial", (False, True))
+    def test_vanishing_classes_then_same_shape(self, K_trivial):
+        surf, N = SurfaceModel(K_trivial=K_trivial), self.N
+        one, pt, L1, L2 = (surf.class_by_name(name).id() for name in ("1X", "pt", "L1", "L2"))
+        engine = fock.SurfaceTraceEngine(surf, N)
+        assert engine.trace([((-4,), pt), ((-1,), pt), ((4, 1), one)]).is_zero()
+        # one component, no loop, integrating L1 L2; both pairs have their a_-n first
+        got = engine.trace([((-5,), L1), ((-2,), L2), ((5, 2), one)])
+        want = (lambert_term(5, 5, 1, order=N) * lambert_term(2, 2, 1, order=N)).lift(surf.ring)
+        assert got.agrees_with(want.scale(10 * surf.ring.gen("L1L2")))
+        assert not got.is_zero()
+
+
 GOLDEN_SURFACE_WORDS = Path(__file__).with_name("golden_surface_words.json")
 
 
@@ -1038,7 +1095,8 @@ class TestGammaCommutation:
         for pairing in (1, 2, -1):
             assert not gamma_commutation_check(pairing, 5, window=4), pairing
 
-    def test_perturbed_minus_entry_fails(self, monkeypatch):
+    @staticmethod
+    def perturb_minus_entry(monkeypatch):
         minus = fock._gamma_minus_row
 
         def perturbed(state, scale, budget, table):
@@ -1049,8 +1107,26 @@ class TestGammaCommutation:
             return row
 
         monkeypatch.setattr(fock, "_gamma_minus_row", perturbed)
+
+    def test_perturbed_minus_entry_fails(self, monkeypatch):
+        self.perturb_minus_entry(monkeypatch)
         for pairing in (0, 1, 2, -1):
             assert not gamma_commutation_check(pairing, 5, window=4), pairing
+
+    def test_perturbed_minus_entry_fails_every_registry_case(self, monkeypatch):
+        # the registry checks [Gamma_-, Gamma_-] once for its four pairings, so
+        # a fault there must still fail each pairing's case
+        from qzeta import pipeline
+        check, cases = pipeline.CHECKS["gamma_comm"][0], []
+        monkeypatch.setattr(pipeline, "_verdict",
+                            lambda name, order, detail, got: cases.extend(got))
+        check(5)
+        assert cases == [(f"pairing {p}", True, True) for p in (0, 1, 2, -1)]
+        self.perturb_minus_entry(monkeypatch)
+        assert not fock._gamma_minus_commute(*fock._gamma_minus_rows(5, 6))
+        cases.clear()
+        check(5)
+        assert cases == [(f"pairing {p}", False, True) for p in (0, 1, 2, -1)]
 
     def test_minus_row_numerators_over_factorial(self):
         # numerator / a! is prod (c'/n)^k / k! over the added parts n, k times each
