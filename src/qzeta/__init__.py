@@ -13,11 +13,10 @@ from .zeta import (IndexPoly, LinearForm, NestedSumSpec, SumFactor, SumTerm,
                    eval_named, eval_nested_sum, z_series)
 from .qmforms import (NotInSpan, QMBasis, QMDecomposition, decompose,
                       decompose_mpoly, qm_basis)
-from .fock import (CohClass, DecoratedOp, GenPartition, SurfaceModel,
-                   chern_op, commutator, equiv_chern_op, equiv_trace,
-                   fock_trace_bruteforce, gamma_commutation_check,
-                   gamma_trace, gamma_trace_sum, trace_product,
-                   vertex_trace, vertex_trace_sum)
+from .fock import (CohClass, DecoratedOp, SurfaceModel, chern_op, commutator,
+                   equiv_chern_op, equiv_trace, fock_trace_bruteforce,
+                   gamma_commutation_check, gamma_trace, gamma_trace_sum,
+                   trace_product, vertex_trace, vertex_trace_sum)
 from .pipeline import (CheckResult, FSeriesSpec, ch1ch1_reduced, equiv_ch1ch1,
                        f111_component_check, f_series_reduced, run_checks)
 
@@ -29,8 +28,8 @@ __all__ = [
     "eval_named", "eval_nested_sum", "z_series",
     "NotInSpan", "QMBasis", "QMDecomposition", "decompose", "decompose_mpoly",
     "qm_basis",
-    "CohClass", "DecoratedOp", "GenPartition", "SurfaceModel", "chern_op",
-    "commutator", "equiv_chern_op", "equiv_trace", "fock_trace_bruteforce",
+    "CohClass", "DecoratedOp", "SurfaceModel", "chern_op", "commutator",
+    "equiv_chern_op", "equiv_trace", "fock_trace_bruteforce",
     "gamma_commutation_check", "gamma_trace", "gamma_trace_sum",
     "trace_product", "vertex_trace", "vertex_trace_sum",
     "CheckResult", "FSeriesSpec", "ch1ch1_reduced", "equiv_ch1ch1",

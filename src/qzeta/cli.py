@@ -23,7 +23,7 @@ from functools import lru_cache
 
 from .ring import QSeries, euler_pow, series_to_json
 from .zeta import bracket, eisenstein, eval_named, z_series
-from .fock import DecoratedOp, GenPartition, SurfaceModel, trace_product
+from .fock import DecoratedOp, SurfaceModel, trace_product, _symmetry_factorial
 from .qmforms import NotInSpan, basis_monomials, decompose, monomial_name
 from .pipeline import CHECKS, run_checks
 
@@ -373,7 +373,7 @@ def parse_trace_word(text, surface):
         klass = surface.class_by_name(m.group("klass"))
         ops.append(DecoratedOp(parts, klass))
         if m.group("norm"):
-            scale /= GenPartition(parts).symmetry_factorial
+            scale /= _symmetry_factorial(sorted(parts))
     return ops, scale
 
 

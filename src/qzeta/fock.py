@@ -23,45 +23,10 @@ from operator import add, mul
 
 from .ring import (MPolyRing, ONE, QSeries, ZERO, _add_into, _conv, _divide, _finish, _series,
                    _shift)
-from .zeta import bernoulli
+from .zeta import _bernoulli_list
 
 
 # -- generalized partitions --------------------------------------------------
-
-
-class GenPartition:
-    """Multiset of nonzero integer parts with multiplicities."""
-
-    __slots__ = ("parts",)
-
-    def __init__(self, parts):
-        parts = tuple(sorted(parts))
-        if any(p == 0 for p in parts):
-            raise ValueError("parts must be nonzero integers")
-        self.parts = parts
-
-    @property
-    def length(self):
-        return len(self.parts)
-
-    @property
-    def weight(self):
-        """Signed size: sum of the parts."""
-        return sum(self.parts)
-
-    @property
-    def symmetry_factorial(self):
-        """Product of the multiplicity factorials."""
-        return _symmetry_factorial(self.parts)
-
-    def __eq__(self, other):
-        return isinstance(other, GenPartition) and self.parts == other.parts
-
-    def __hash__(self):
-        return hash(self.parts)
-
-    def __repr__(self):
-        return f"GenPartition{self.parts}"
 
 
 def _symmetry_factorial(parts):
@@ -726,24 +691,12 @@ def vertex_trace(word, surface, order):
 # -- Chern character operators (surface) ---------------------------------------
 
 
-def _length3_zero_partitions(bound):
-    """Canonical 3-part generalized partitions of 0 with parts bounded by size."""
-    out = []
-    for i in range(1, bound + 1):
-        for j in range(i, bound + 1):
-            if i + j > bound:
-                break
-            sym = 2 if i == j else 1
-            out.append(((-i - j, i, j), sym))
-            out.append(((-j, -i, i + j), sym))
-    return out
-
-
 def chern_op(k, klass, surface, order):
     """Formal Heisenberg expansion of the k-th Chern character operator.
 
-    Returns a list of (rational coefficient, DecoratedOp); parts are bounded
-    by the truncation order, which cannot affect coefficients up to q^order.
+    Returns a list of (rational coefficient, DecoratedOp) over the partitions
+    of 0 that `equiv_chern_op` lists; parts are bounded by the truncation
+    order, which cannot affect coefficients up to q^order.
     Only k = 0 and k = 1 are available: the general expansion has universal
     constants that are not pinned down.
     """
@@ -751,18 +704,18 @@ def chern_op(k, klass, surface, order):
     # exists: allocate one series first, so that an order too large for memory
     # fails at once with MemoryError, as z_series does.
     QSeries.one(order)
-    if k == 0:
-        return [(Fraction(-1), DecoratedOp((-m, m), klass))
-                for m in range(1, order + 1)]
-    if k == 1:
-        terms = [(Fraction(-1, sym), DecoratedOp(parts, klass))
-                 for parts, sym in _length3_zero_partitions(order)]
-        k_klass = surface.canonical() * klass
-        if not k_klass.is_zero():
-            terms += [(Fraction(1 - n, 2), DecoratedOp((-n, n), k_klass))
-                      for n in range(1, order + 1)]
-        return terms
-    raise ValueError("only k in {0, 1} is supported on a general surface")
+    if k not in (0, 1):
+        raise ValueError("only k in {0, 1} is supported on a general surface")
+    k_klass = surface.canonical() * klass if k else None
+    terms = []
+    # reversed, the pairs come in rising n, after the triples for k = 1; a pair
+    # is a K-decorated term for k = 1, and the empty partition gives no term
+    for parts in reversed(_zero_weight_partitions(k + 2, order)):
+        if len(parts) == k + 2:
+            terms.append((Fraction(-1, _symmetry_factorial(parts)), DecoratedOp(parts, klass)))
+        elif parts and not k_klass.is_zero():
+            terms.append((Fraction(1 - parts[1], 2), DecoratedOp(parts, k_klass)))
+    return terms
 
 
 # -- equivariant scalar setting -----------------------------------------------
@@ -910,8 +863,9 @@ def equiv_chern_coefficient(parts, k):
     d = k - len(parts) + 2
     if d < 0:
         return ZERO
+    b = _bernoulli_list(d) if d >= 2 else ()
     logs = [ZERO] + [
-        (Fraction(1, 2) if m == 1 else bernoulli(m) / (m * factorial(m)))
+        (Fraction(1, 2) if m == 1 else b[m] / (m * factorial(m)))
         * ((-1) ** m * sum(p ** m for p in parts) - 1 - (-1) ** m)
         for m in range(1, d + 1)]
     # e_n = (1/n) sum_m m logs_m e_(n-m) for e = exp(sum_m logs_m z^m)

@@ -13,11 +13,12 @@ from fractions import Fraction
 
 from .ring import QSeries, euler_pow, lambert_term
 from .zeta import bracket, eisenstein, eval_named, z_series
-from .fock import (DecoratedOp, GenPartition, SurfaceModel, chern_op,
-                   equiv_chern_coefficient, equiv_chern_op, equiv_trace,
-                   fock_trace_bruteforce, gamma_trace_sum, trace_product,
-                   vertex_trace_sum, _gamma_minus_commute, _gamma_minus_rows,
-                   _gamma_plus_minus_commute, _zero_weight_partitions)
+from .fock import (DecoratedOp, SurfaceModel, chern_op, equiv_chern_coefficient,
+                   equiv_chern_op, equiv_trace, fock_trace_bruteforce,
+                   gamma_trace_sum, trace_product, vertex_trace_sum,
+                   _gamma_minus_commute, _gamma_minus_rows,
+                   _gamma_plus_minus_commute, _symmetry_factorial,
+                   _zero_weight_partitions)
 
 
 class CheckResult:
@@ -424,7 +425,7 @@ def check_str_gk_k1(order):
     for parts in _zero_weight_partitions(3, order):
         c = ops.get(parts, Fraction(0))
         if len(parts) == 3:
-            want = Fraction(1, GenPartition(parts).symmetry_factorial)
+            want = Fraction(1, _symmetry_factorial(parts))
             yield f"{parts}: got {c}, want {want}", c, want
         else:
             yield f"unexpected term at {parts}: {c}", c, 0

@@ -6,11 +6,9 @@ Eulerian polynomials) and the multiple q-zeta values Z(s1,...,sl) (half-power
 numerators t^(s/2), resp. t^((s-1)/2)(t+1) for odd s).  The nested-sum
 evaluator services every displayed multi-sum: free indices, strict chains,
 and an equal-sum constraint between two index groups.  Eulerian and
-Bernoulli numbers come from their recurrences; only the Bernoulli table,
-keyed by its last index, is cached for the process.
+Bernoulli numbers come from their recurrences, built per call.
 """
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, factorial, lcm, prod
 from operator import add, mul
 
@@ -108,7 +106,6 @@ def z_series(indices, order):
 # -- Bernoulli numbers and Eisenstein series --------------------------------
 
 
-@lru_cache(maxsize=None)
 def _bernoulli_list(n):
     """B_0..B_n from sum_{j<=m} C(m+1, j) B_j = 0 for m >= 1."""
     out = [ONE]
@@ -116,7 +113,7 @@ def _bernoulli_list(n):
         # B_j = 0 for odd j >= 3, so those terms are skipped
         out.append(-sum(comb(m + 1, j) * out[j] for j in range(m) if j < 2 or j % 2 == 0)
                    / (m + 1))
-    return tuple(out)
+    return out
 
 
 def bernoulli(i):

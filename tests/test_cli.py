@@ -243,16 +243,20 @@ class TestMainInProcess:
         assert out1 == out2
 
     def test_trace_normalization_suffix(self):
-        code, plain = self.run_main("trace", "a[-1,-1,2](1X)", "--order", "6")
-        code2, halved = self.run_main("trace", "a[-1,-1,2](1X)/!", "--order", "6")
-        assert code == 0 and code2 == 0
-        # the suffix divides by the symmetry factorial (2 here); both zero
-        # series here would be useless, so use a word with a nonzero trace
-        code, plain = self.run_main(
-            "trace", "a[-1,-1,2](1X) * a[-2,1,1](e)", "--order", "8", "--chi", "1")
-        code2, halved = self.run_main(
-            "trace", "a[-1,-1,2](1X)/! * a[-2,1,1](e)", "--order", "8", "--chi", "1")
-        assert code == 0 and code2 == 0
+        # the suffix divides the first factor by its symmetry factorial, 2 in
+        # both words: a[1,-2,1] repeats the part 1 apart, so its factorial is
+        # 2 only once the parts are read as a multiset.  Both zero series
+        # would be useless, so each word has a nonzero trace (one loop, b = 1)
+        for word in ("a[-2,1,1](1X) * a[-1](1X) * a[-1,2](1X)",
+                     "a[1,-2,1](1X) * a[-1](1X) * a[2,-1](1X)"):
+            series = []
+            for text in (word, word.replace("(1X)", "(1X)/!", 1)):
+                code, out = self.run_main("trace", text, "--order", "8", "--chi", "1")
+                assert code == 0
+                series.append([Fraction(line.split("\t")[1]) for line in out.splitlines()])
+            plain, halved = series
+            assert any(plain), word
+            assert [2 * c for c in halved] == plain, word
 
     def test_decompose_reads_expression_file(self, tmp_path):
         path = tmp_path / "expr.txt"

@@ -4,33 +4,33 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
-from math import comb, factorial
+from math import comb, factorial, prod
 from pathlib import Path
 
 import pytest
 
 import qzeta.fock as fock
 from qzeta.ring import QSeries, euler_pow, lambert_term
-from qzeta.fock import (CohClass, DecoratedOp, GenPartition, SurfaceModel,
-                        chern_op, commutator, equiv_chern_coefficient,
-                        equiv_chern_op, equiv_trace, fock_trace_bruteforce,
-                        gamma_commutation_check, gamma_trace, gamma_trace_sum,
-                        trace_product, vertex_trace, vertex_trace_sum,
-                        _zero_weight_partitions)
+from qzeta.fock import (CohClass, DecoratedOp, SurfaceModel, chern_op, commutator,
+                        equiv_chern_coefficient, equiv_chern_op, equiv_trace,
+                        fock_trace_bruteforce, gamma_commutation_check, gamma_trace,
+                        gamma_trace_sum, trace_product, vertex_trace, vertex_trace_sum,
+                        _symmetry_factorial, _zero_weight_partitions)
 
 F = Fraction
 
 
-class TestGenPartition:
-    def test_statistics(self):
-        lam = GenPartition((-2, -2, 1, 3))
-        assert lam.length == 4
-        assert lam.weight == 0
-        assert lam.symmetry_factorial == 2
+def multiplicity_factorial(parts):
+    return prod(factorial(m) for m in Counter(parts).values())
 
-    def test_no_zero_parts(self):
-        with pytest.raises(ValueError):
-            GenPartition((0, 1))
+
+class TestSymmetryFactorial:
+    def test_product_of_multiplicity_factorials(self):
+        assert _symmetry_factorial((-2, -2, 1, 3)) == 2
+        values = [p for p in range(-3, 4) if p]
+        for length in range(6):
+            for parts in combinations_with_replacement(values, length):
+                assert _symmetry_factorial(parts) == multiplicity_factorial(parts), parts
 
 
 class TestSurfaceModel:
@@ -685,7 +685,7 @@ class TestVertexTrace:
         mult = Counter(parts)
         pos = {n: mult.get(n, 0) for n in range(1, N + 1)}
         neg = {n: mult.get(-n, 0) for n in range(1, N + 1)}
-        sym = GenPartition(parts).symmetry_factorial
+        sym = multiplicity_factorial(parts)
 
         def weights(pos_m, neg_m):
             s = QSeries.one(N)
@@ -926,6 +926,36 @@ class TestInternedClasses:
             vertex_trace([foreign], surf, 5)
 
 
+def reference_length3_zero_partitions(bound):
+    """The reference listing for `chern_op(1)`: the former hand-coded
+    canonical 3-part generalized partitions of 0, with symmetry factorials."""
+    out = []
+    for i in range(1, bound + 1):
+        for j in range(i, bound + 1):
+            if i + j > bound:
+                break
+            sym = 2 if i == j else 1
+            out.append(((-i - j, i, j), sym))
+            out.append(((-j, -i, i + j), sym))
+    return out
+
+
+def reference_chern_op(k, klass, surface, order):
+    """The reference for `chern_op`: its former two hand-coded branches."""
+    if k == 0:
+        return [(F(-1), DecoratedOp((-m, m), klass)) for m in range(1, order + 1)]
+    terms = [(F(-1, sym), DecoratedOp(parts, klass))
+             for parts, sym in reference_length3_zero_partitions(order)]
+    k_klass = surface.canonical() * klass
+    if not k_klass.is_zero():
+        terms += [(F(1 - n, 2), DecoratedOp((-n, n), k_klass)) for n in range(1, order + 1)]
+    return terms
+
+
+def chern_terms(terms):
+    return sorted((c, op.parts, op.klass.id()) for c, op in terms)
+
+
 class TestChernOps:
     def test_g0_term_count(self):
         surf = SurfaceModel()
@@ -962,6 +992,29 @@ class TestChernOps:
         surf = SurfaceModel()
         with pytest.raises(ValueError):
             chern_op(2, surf.one(), surf, 5)
+
+    @pytest.mark.parametrize("k_trivial", [False, True])
+    def test_matches_reference_listing(self, k_trivial):
+        surf = SurfaceModel(K_trivial=k_trivial)
+        for klass in (surf.one(), surf.divisor("L1"), surf.canonical()):
+            for k in (0, 1):
+                for order in range(41):
+                    assert chern_terms(chern_op(k, klass, surf, order)) == \
+                        chern_terms(reference_chern_op(k, klass, surf, order)), (k, klass, order)
+
+    def test_ch_terms_negate_equivariant_terms(self):
+        # the terms of length k + 2 carry alpha itself, and their coefficients
+        # are those of the equivariant operator with the commutator's sign flipped
+        surf = SurfaceModel()
+        klass = surf.divisor("L1")
+        for k in (0, 1):
+            for order in range(21):
+                terms = [(c, op) for c, op in chern_op(k, klass, surf, order)
+                         if len(op.parts) == k + 2]
+                assert all(op.klass.id() == klass.id() for _, op in terms)
+                want = sorted((parts, -c) for c, parts in equiv_chern_op(k, order)
+                              if len(parts) == k + 2)
+                assert sorted((op.parts, c) for c, op in terms) == want, (k, order)
 
 
 def series_chern_coefficient(parts, k):
@@ -1012,7 +1065,7 @@ class TestEquivChernOps:
             ops[parts] = c
         for parts in _zero_weight_partitions(3, 6):
             if len(parts) == 3:
-                assert ops[parts] == F(1, GenPartition(parts).symmetry_factorial)
+                assert ops[parts] == F(1, multiplicity_factorial(parts))
                 assert equiv_chern_coefficient(parts, 1) == 1
             else:
                 assert parts not in ops

@@ -1,4 +1,6 @@
 """q-zeta generators and the nested-sum evaluator against frozen oracles."""
+import gc
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb, factorial, prod
@@ -414,18 +416,26 @@ class TestIndependentOracles:
 
 
 def test_order_sweep_grows_no_cache():
-    # every memo of the evaluators lives for one call; the lru_caches left
-    # are small tables keyed by an index, not by the order
-    import qzeta.zeta as zeta
-    caches = {name: f for name, f in vars(zeta).items() if hasattr(f, "cache_info")}
-
+    # every memo of the evaluators and every Bernoulli table lives for one
+    # call, so a sweep over rising orders and indices leaves no memory behind
     def sweep(orders):
         for order in orders:
             for name in builtin_sums():
                 eval_named(name, order)
             z_series((2, 3), order)
             bracket((1, 2), order)
-        return {name: f.cache_info().currsize for name, f in caches.items()}
+            eisenstein(2 * order, order)
+            bernoulli(4 * order)
 
-    first = sweep([4])
-    assert sweep(range(4, 25)) == first
+    sweep([4])
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        sweep(range(4, 13))
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    # a cache keyed by the order or the index would hold tens of kilobytes
+    assert held < 4096, held
