@@ -956,21 +956,20 @@ def gamma_trace(m, word, order):
 # image of one state as (state', degree, integer numerator).
 
 
-def _gamma_minus_row(state, scale, budget, table):
-    """Gamma_-(scale, y): add a multiset mu of parts, |mu| = a <= budget.
+def _gamma_minus_row(state, budget, table):
+    """Gamma_-(1, y): add a multiset mu of parts, |mu| = a <= budget.
 
-    The coefficient is scale^l(mu) y^a / z_mu with z_mu = prod n^k k!.  Since
-    a!/z_mu is an integer (it counts the permutations of cycle type mu), the
-    row holds scale^l(mu) a!/z_mu over the denominator a!, in rising a.
-    table is a `_partition_table` of order at least budget.
+    The coefficient is y^a / z_mu with z_mu = prod n^k k!.  Since a!/z_mu is
+    an integer (it counts the permutations of cycle type mu), the row holds
+    a!/z_mu over the denominator a!, in rising a.  table is a
+    `_partition_table` of order at least budget.
     """
     row = []
     for a in range(budget + 1):
         fa = factorial(a)
         for mu in table[a]:
-            z = prod(mu) * _symmetry_factorial(mu)
             row.append((tuple(sorted(state + mu, reverse=True)), a,
-                        scale ** len(mu) * fa // z))
+                        fa // (prod(mu) * _symmetry_factorial(mu))))
     return row
 
 
@@ -988,33 +987,8 @@ def _gamma_plus_row(state, scale, bmax, sign=-1):
     return [entry for entry in row if entry[2]]
 
 
-def _gamma_minus_rows(order, window):
-    """The states of a commutation check and one shared memo of their Gamma_- rows.
-
-    Returns (states, gm): the partitions of size <= order, and gm(state), the
-    row of Gamma_-(1, y) on any state of size <= order + window, built once.
-    The operators run on states graded up to order + window so that every
-    path contributing to a monomial compared within the window is complete.
-    """
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    if window < 1:
-        raise ValueError("window must be at least 1")
-    cap = order + window
-    table = _partition_table(cap)
-    minus = {}
-
-    def gm(state):
-        row = minus.get(state)
-        if row is None:
-            row = minus[state] = _gamma_minus_row(state, 1, cap - sum(state), table)
-        return row
-
-    return list(chain.from_iterable(table[:order + 1])), gm
-
-
-def _gamma_minus_commute(states, gm):
-    """[Gamma_-(x), Gamma_-(y)] = 0 on the states, from the rows of gm.
+def _gamma_minus_commute(states, minus):
+    """[Gamma_-(x), Gamma_-(y)] = 0 on the states, from the Gamma_- rows in minus.
 
     A path state -> s1 -> s2 adds its first multiset in y and its second in
     x under Gamma_-(x) Gamma_-(y), and the reverse under Gamma_-(y)
@@ -1025,25 +999,18 @@ def _gamma_minus_commute(states, gm):
     """
     for state in states:
         yx = {}
-        for s1, a, n1 in gm(state):
-            for s2, d, n2 in gm(s1):
+        for s1, a, n1 in minus[state]:
+            for s2, d, n2 in minus[s1]:
                 yx[s2, a, d] = yx.get((s2, a, d), 0) + n1 * n2
         if any(v != yx.get((s2, d, a), 0) for (s2, a, d), v in yx.items()):
             return False
     return True
 
 
-def _gamma_plus_minus_commute(pairing, states, gm, window):
+def _gamma_plus_minus_commute(pairing, states, minus, plus, window):
     """Gamma_+(c, x) Gamma_-(1, y) = (1 - y/x)^c Gamma_-(1, y) Gamma_+(c, x) on the
-    states, c = pairing, for the monomials y^a x^(-b) with a, b <= window."""
-    plus = {}
-
-    def gp(state):
-        row = plus.get(state)
-        if row is None:
-            row = plus[state] = _gamma_plus_row(state, pairing, window)
-        return row
-
+    states, c = pairing, from the Gamma_- rows in minus and the Gamma_+(c) rows
+    in plus, for the monomials y^a x^(-b) with a, b <= window."""
     # prefactor (1 - y/x)^c truncated in powers of y/x
     if pairing >= 0:
         pref = [(-1) ** j * comb(pairing, j) for j in range(pairing + 1)]
@@ -1055,13 +1022,13 @@ def _gamma_plus_minus_commute(pairing, states, gm, window):
     # path, so a path stops once it leaves the window (Gamma_- rows rise in a).
     for state in states:
         diff = {}  # left side minus right side
-        for s1, a, n1 in gm(state):
+        for s1, a, n1 in minus[state]:
             if a > window:
                 break
-            for s2, b, n2 in gp(s1):
+            for s2, b, n2 in plus[s1]:
                 diff[s2, a, b] = diff.get((s2, a, b), 0) + n1 * n2
-        for s1, b, n1 in gp(state):
-            for s2, a, n2 in gm(s1):
+        for s1, b, n1 in plus[state]:
+            for s2, a, n2 in minus[s1]:
                 if a > window:
                     break
                 for j, pc in enumerate(pref):
@@ -1074,6 +1041,33 @@ def _gamma_plus_minus_commute(pairing, states, gm, window):
     return True
 
 
+def _gamma_commutation(order, window, pairings):
+    """One verdict of `gamma_commutation_check` per pairing, on shared Gamma_- rows.
+
+    The operators run on states graded up to order + window, so that every
+    path contributing to a monomial compared within the window is complete.
+    Gamma_- reaches every such state from the empty one, so each state's rows
+    are built once, up front: its Gamma_-(1, y) row, which does not depend on
+    the pairing and serves one [Gamma_-, Gamma_-] pass, then its Gamma_+ row
+    per pairing.
+    """
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    if window < 1:
+        raise ValueError("window must be at least 1")
+    cap = order + window
+    table = _partition_table(cap)
+    everything = list(chain.from_iterable(table))
+    states = list(chain.from_iterable(table[:order + 1]))
+    minus = {state: _gamma_minus_row(state, cap - sum(state), table) for state in everything}
+    if not _gamma_minus_commute(states, minus):
+        return [False] * len(pairings)
+    return [_gamma_plus_minus_commute(
+        pairing, states, minus,
+        {state: _gamma_plus_row(state, pairing, window) for state in everything}, window)
+        for pairing in pairings]
+
+
 def gamma_commutation_check(pairing, order, window=6):
     """Verify the half-vertex commutation relations on the truncated Fock basis.
 
@@ -1084,10 +1078,7 @@ def gamma_commutation_check(pairing, order, window=6):
     Uses the surface sign convention, under which the exponent is +pairing.
     Both sides of each relation carry the same factorial denominators per
     monomial, so only integer numerators are compared.  The first relation
-    does not depend on the pairing: a caller checking several pairings runs
-    `_gamma_minus_commute` once and `_gamma_plus_minus_commute` per pairing,
-    on one `_gamma_minus_rows` memo.
+    does not depend on the pairing: a caller checking several pairings asks
+    `_gamma_commutation` for all of them at once.
     """
-    states, gm = _gamma_minus_rows(order, window)
-    return _gamma_minus_commute(states, gm) and _gamma_plus_minus_commute(
-        pairing, states, gm, window)
+    return _gamma_commutation(order, window, (pairing,))[0]

@@ -15,10 +15,8 @@ from .ring import QSeries, euler_pow, lambert_term
 from .zeta import bracket, eisenstein, eval_named, z_series
 from .fock import (DecoratedOp, SurfaceModel, chern_op, equiv_chern_coefficient,
                    equiv_chern_op, equiv_trace, fock_trace_bruteforce,
-                   gamma_trace_sum, trace_product, vertex_trace_sum,
-                   _gamma_minus_commute, _gamma_minus_rows,
-                   _gamma_plus_minus_commute, _symmetry_factorial,
-                   _zero_weight_partitions)
+                   gamma_trace_sum, trace_product, vertex_trace_sum, _gamma_commutation,
+                   _symmetry_factorial, _zero_weight_partitions)
 
 
 class CheckResult:
@@ -110,6 +108,13 @@ def _h_component(tag, order):
     return eval_named(f"h11_{tag}", order)
 
 
+# exponent triples (a, b, c) of Z(2)^a Z(4)^b Z(6)^c in h0, and h_tag / h0
+_PROP_H0 = {(2, 0, 0): Fraction(1), (0, 1, 0): Fraction(1),
+            (3, 0, 0): Fraction(-8, 3), (1, 1, 0): Fraction(4),
+            (0, 0, 1): Fraction(14, 3)}
+_H_FACTORS = {0: Fraction(1), 2: Fraction(-5, 4), 4: Fraction(1, 4)}
+
+
 def h_component_closed_form(tag, order):
     """Verified quasi-modular closed forms of the h components.
 
@@ -117,16 +122,12 @@ def h_component_closed_form(tag, order):
     h4 = (1/4) h0; the printed component formulas for h2/h4 carry the
     opposite sign (see the discrepancy check).
     """
-    z2, z4, z6 = (z_series((s,), order) for s in (2, 4, 6))
-    h0 = (z2 * z2) + z4 - (z2 ** 3).scale(Fraction(8, 3)) \
-        + (z2 * z4).scale(4) + z6.scale(Fraction(14, 3))
-    if tag == 0:
-        return h0
-    if tag == 2:
-        return h0.scale(Fraction(-5, 4))
-    if tag == 4:
-        return h0.scale(Fraction(1, 4))
-    raise ValueError(tag)
+    if tag not in _H_FACTORS:
+        raise ValueError(tag)
+    zs = [z_series((s,), order) for s in (2, 4, 6)]
+    h0 = sum((math.prod((z ** e for z, e in zip(zs, exps) if e), start=QSeries.one(order))
+              .scale(c) for exps, c in _PROP_H0.items()), QSeries.zero(order))
+    return h0.scale(_H_FACTORS[tag])
 
 
 def f00_expected(surface, order):
@@ -412,11 +413,9 @@ def check_trij1Xij1X(order):
             "half-vertex commutation, pairings {0, 1, 2, -1}, window 6")
 def check_gamma_comm(order):
     # [Gamma_-, Gamma_-] does not depend on the pairing: one pass serves all four
-    states, gm = _gamma_minus_rows(order, 6)
-    minus = _gamma_minus_commute(states, gm)
-    for pairing in (0, 1, 2, -1):
-        yield (f"pairing {pairing}",
-               minus and _gamma_plus_minus_commute(pairing, states, gm, 6), True)
+    pairings = (0, 1, 2, -1)
+    for pairing, ok in zip(pairings, _gamma_commutation(order, 6, pairings)):
+        yield f"pairing {pairing}", ok, True
 
 
 @registered("str_gk_k1", 8, 2, "index-1 operator = normalized length-3 sum")
@@ -456,19 +455,13 @@ def check_h11_direct_vs_decomp(order):
         yield f"h{tag} closed form", h, h_component_closed_form(tag, order)
 
 
-# exponent triples (a, b, c) of Z(2)^a Z(4)^b Z(6)^c
-_PROP_H0 = {(2, 0, 0): Fraction(1), (0, 1, 0): Fraction(1),
-            (3, 0, 0): Fraction(-8, 3), (1, 1, 0): Fraction(4),
-            (0, 0, 1): Fraction(14, 3)}
-
-
 @registered("prop_h11024", 40, 17,
             "h0 matches the printed coefficients exactly; h2 and h4 equal the "
             "NEGATIVES of the printed component formulas (printed signs are "
             "inconsistent with the defining sums, confirmed by brute-force traces)")
 def check_prop_h11024(order):
     from .qmforms import decompose
-    for tag, factor in ((0, 1), (2, Fraction(-5, 4)), (4, Fraction(1, 4))):
+    for tag, factor in _H_FACTORS.items():
         dec = decompose(_h_component(tag, order), 6, order)
         yield (f"h{tag} decomposition: {dec}", dec.coeffs if dec else None,
                {m: c * factor for m, c in _PROP_H0.items()})

@@ -127,20 +127,18 @@ def eisenstein(weight, order):
     """Weight-2k Eisenstein series G_2k(q) with exact rational normalization.
 
     Constant term -B_2k/(4k*(2k-1)!); the q^n coefficient is
-    sigma_{2k-1}(n)/(2k-1)!.
+    sigma_{2k-1}(n)/(2k-1)!.  Every coefficient is an integer over
+    (2k-1)! times the denominator of -B_2k/(4k).
     """
     if weight < 2 or weight % 2:
         raise ValueError("Eisenstein weight must be a positive even integer")
-    k2 = weight  # 2k
-    fact = Fraction(1, factorial(k2 - 1))
-    coeffs = [-bernoulli(k2) / (2 * k2) * fact]
-    sigma = [ZERO] * (order + 1)
+    const = -bernoulli(weight) / (2 * weight)
+    sigma = [const.numerator] + [0] * order
     for d in range(1, order + 1):
-        dd = Fraction(d ** (k2 - 1))
+        dd = d ** (weight - 1) * const.denominator
         for n in range(d, order + 1, d):
             sigma[n] += dd
-    coeffs += [sigma[n] * fact for n in range(1, order + 1)]
-    return QSeries(coeffs, order=order)
+    return QSeries.from_numerators(sigma, factorial(weight - 1) * const.denominator, order)
 
 
 # -- generic nested sums ----------------------------------------------------

@@ -1140,10 +1140,14 @@ class TestGammaCommutation:
             with pytest.raises(ValueError, match="window must be at least 1"):
                 gamma_commutation_check(2, 3, window=window)
 
-    def test_flipped_plus_sign_fails(self, monkeypatch):
+    @staticmethod
+    def flip_plus_sign(monkeypatch):
         plus = fock._gamma_plus_row
         monkeypatch.setattr(fock, "_gamma_plus_row",
                             lambda state, scale, bmax: plus(state, scale, bmax, sign=1))
+
+    def test_flipped_plus_sign_fails(self, monkeypatch):
+        self.flip_plus_sign(monkeypatch)
         assert gamma_commutation_check(0, 5, window=4)
         for pairing in (1, 2, -1):
             assert not gamma_commutation_check(pairing, 5, window=4), pairing
@@ -1152,8 +1156,8 @@ class TestGammaCommutation:
     def perturb_minus_entry(monkeypatch):
         minus = fock._gamma_minus_row
 
-        def perturbed(state, scale, budget, table):
-            row = minus(state, scale, budget, table)
+        def perturbed(state, budget, table):
+            row = minus(state, budget, table)
             if state == (1,):
                 target, a, num = row[3]
                 row[3] = (target, a, num + 1)
@@ -1166,39 +1170,57 @@ class TestGammaCommutation:
         for pairing in (0, 1, 2, -1):
             assert not gamma_commutation_check(pairing, 5, window=4), pairing
 
+    @staticmethod
+    def registry_cases(monkeypatch):
+        """The (label, got, want) cases of one `gamma_comm` registry run at order 5."""
+        from qzeta import pipeline
+        cases = []
+        monkeypatch.setattr(pipeline, "_verdict",
+                            lambda name, order, detail, got: cases.extend(got))
+        pipeline.CHECKS["gamma_comm"][0](5)
+        return cases
+
     def test_perturbed_minus_entry_fails_every_registry_case(self, monkeypatch):
         # the registry checks [Gamma_-, Gamma_-] once for its four pairings, so
         # a fault there must still fail each pairing's case
-        from qzeta import pipeline
-        check, cases = pipeline.CHECKS["gamma_comm"][0], []
-        monkeypatch.setattr(pipeline, "_verdict",
-                            lambda name, order, detail, got: cases.extend(got))
-        check(5)
-        assert cases == [(f"pairing {p}", True, True) for p in (0, 1, 2, -1)]
+        assert self.registry_cases(monkeypatch) == [
+            (f"pairing {p}", True, True) for p in (0, 1, 2, -1)]
         self.perturb_minus_entry(monkeypatch)
-        assert not fock._gamma_minus_commute(*fock._gamma_minus_rows(5, 6))
-        cases.clear()
-        check(5)
-        assert cases == [(f"pairing {p}", False, True) for p in (0, 1, 2, -1)]
+        assert fock._gamma_commutation(5, 6, (0, 1, 2, -1)) == [False] * 4
+        assert self.registry_cases(monkeypatch) == [
+            (f"pairing {p}", False, True) for p in (0, 1, 2, -1)]
+
+    def test_flipped_plus_sign_fails_registry_cases_with_nonzero_pairing(self, monkeypatch):
+        # each pairing builds its own Gamma_+ rows: a sign fault there shows
+        # wherever the pairing is nonzero, and only there
+        self.flip_plus_sign(monkeypatch)
+        assert self.registry_cases(monkeypatch) == [
+            (f"pairing {p}", p == 0, True) for p in (0, 1, 2, -1)]
+
+    def test_one_routine_agrees_with_per_pairing_checks(self):
+        pairings = (0, 1, 2, -1)
+        for order in range(6):
+            for window in (1, 4, 6):
+                assert [gamma_commutation_check(p, order, window) for p in pairings] \
+                    == fock._gamma_commutation(order, window, pairings), (order, window)
 
     def test_minus_row_numerators_over_factorial(self):
-        # numerator / a! is prod (c'/n)^k / k! over the added parts n, k times each
+        # numerator / a! is prod (1/n)^k / k! over the added parts n, k times each
         cap = 7
         table = fock._partition_table(cap)
-        for scale in (1, 2, -1):
-            for state in fock.all_partition_states(cap):
-                budget = cap - sum(state)
-                row = fock._gamma_minus_row(state, scale, budget, table)
-                assert [a for _, a, _ in row] == sorted(a for _, a, _ in row)
-                added = set()
-                for target, a, num in row:
-                    mu = Counter(target) - Counter(state)
-                    assert Counter(state) + mu == Counter(target)
-                    assert sum(n * k for n, k in mu.items()) == a
-                    want = F(1)
-                    for n, k in mu.items():
-                        want *= F(scale, n) ** k / factorial(k)
-                    assert F(num, factorial(a)) == want, (state, target)
-                    added.add(tuple(sorted(mu.elements())))
-                # each multiset of size <= budget exactly once
-                assert len(added) == len(row) == sum(euler_pow(-1, budget).coeffs)
+        for state in fock.all_partition_states(cap):
+            budget = cap - sum(state)
+            row = fock._gamma_minus_row(state, budget, table)
+            assert [a for _, a, _ in row] == sorted(a for _, a, _ in row)
+            added = set()
+            for target, a, num in row:
+                mu = Counter(target) - Counter(state)
+                assert Counter(state) + mu == Counter(target)
+                assert sum(n * k for n, k in mu.items()) == a
+                want = F(1)
+                for n, k in mu.items():
+                    want *= F(1, n) ** k / factorial(k)
+                assert F(num, factorial(a)) == want, (state, target)
+                added.add(tuple(sorted(mu.elements())))
+            # each multiset of size <= budget exactly once
+            assert len(added) == len(row) == sum(euler_pow(-1, budget).coeffs)

