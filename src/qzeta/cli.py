@@ -432,6 +432,8 @@ def _load_series_argument(text, order):
             data = json.loads(content)
         except json.JSONDecodeError:
             return eval_text(content, order)
+        if isinstance(data, (int, float)):  # a bare number is an expression too
+            return eval_text(content, order)
         from .ring import series_from_json
         series = series_from_json(data)
         if series.order < order:

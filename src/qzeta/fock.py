@@ -48,17 +48,21 @@ def _pair_symbol(d1, d2):
 
 
 class SurfaceModel:
-    """Symbolic even cohomology of a surface: 1, divisors, point class.
+    """Symbolic even cohomology of a surface and its basis.
 
-    Pairings between degree-2 basis classes are formal symbols; the Euler
-    class integrates to chi (a symbol unless an integer value is fixed).
-    With K numerically trivial every pairing involving K is zero.
+    The basis names are 1X (degree 0), each divisor (degree 2) and pt (degree
+    4). Pairings between divisors are formal symbols; the Euler class e
+    integrates to chi (a symbol unless an integer value is fixed). With K
+    numerically trivial every pairing involving K is zero.
     """
 
     def __init__(self, divisors=("K", "L1", "L2"), chi=None, K_trivial=False):
         self.divisors = tuple(divisors)
         if "K" not in self.divisors:
             raise ValueError("the surface model needs a canonical divisor K")
+        if {"1X", "pt", "e"} & set(self.divisors):
+            raise ValueError("divisor names 1X, pt and e are reserved")
+        self.degrees = {"1X": 0, **dict.fromkeys(self.divisors, 2), "pt": 4}
         symbols = ["chi"]
         for i, d1 in enumerate(self.divisors):
             for d2 in self.divisors[i:]:
@@ -76,38 +80,47 @@ class SurfaceModel:
             return self.ring.zero
         return self.ring.gen(_pair_symbol(d1, d2))
 
+    def basis_product(self, a, b):
+        """Product of basis names a, b as (name, pairing); pairing is None when
+        one factor is the unit 1X, and the result is None when the product is 0."""
+        if "1X" in (a, b):
+            return (b if a == "1X" else a), None
+        if "pt" in (a, b):
+            return None
+        return "pt", self.pairing_symbol(a, b)
+
     # -- classes ---------------------------------------------------------
 
+    def class_by_name(self, name):
+        """The class 1X, pt, e (chi times pt) or a divisor, by its name."""
+        if name == "e":
+            return CohClass(self, {"pt": self.chi})
+        if name not in self.degrees:
+            raise ValueError(f"unknown divisor {name!r}")
+        return CohClass(self, {name: self.ring.one})
+
     def zero_class(self):
-        z = self.ring.zero
-        return CohClass(self, z, {}, z)
+        return CohClass(self, {})
 
     def one(self):
-        return CohClass(self, self.ring.one, {}, self.ring.zero)
+        return self.class_by_name("1X")
 
     def divisor(self, name):
-        if name not in self.divisors:
+        if self.degrees.get(name) != 2:
             raise ValueError(f"unknown divisor {name!r}")
-        return CohClass(self, self.ring.zero, {name: self.ring.one}, self.ring.zero)
+        return self.class_by_name(name)
 
     def canonical(self):
-        return self.divisor("K")
+        return self.class_by_name("K")
 
     def point(self):
-        return CohClass(self, self.ring.zero, {}, self.ring.one)
+        return self.class_by_name("pt")
 
     def euler(self):
-        """Euler class: chi times the point class."""
-        return CohClass(self, self.ring.zero, {}, self.chi)
+        return self.class_by_name("e")
 
     def one_minus_K(self):
         return self.one() - self.canonical()
-
-    def class_by_name(self, name):
-        table = {"1X": self.one, "e": self.euler, "pt": self.point}
-        if name in table:
-            return table[name]()
-        return self.divisor(name)
 
     def _product_id(self, i, j):
         """Id of the product of the classes with ids i and j; None if it is zero."""
@@ -120,56 +133,47 @@ class SurfaceModel:
 
 
 class CohClass:
-    """Inhomogeneous even cohomology class on the surface model."""
+    """Inhomogeneous even cohomology class: basis name -> nonzero coefficient."""
 
-    __slots__ = ("surface", "deg0", "deg2", "deg4", "_id")
+    __slots__ = ("surface", "coeffs", "_id")
 
-    def __init__(self, surface, deg0, deg2, deg4):
+    def __init__(self, surface, coeffs):
         self.surface = surface
-        self.deg0 = deg0
-        self.deg2 = {d: c for d, c in deg2.items() if not c.is_zero()}
-        self.deg4 = deg4
+        self.coeffs = {name: c for name, c in coeffs.items() if not c.is_zero()}
         self._id = None
 
     def is_zero(self):
-        return self.deg0.is_zero() and not self.deg2 and self.deg4.is_zero()
+        return not self.coeffs
 
     def __add__(self, other):
-        deg2 = dict(self.deg2)
-        for d, c in other.deg2.items():
-            deg2[d] = deg2.get(d, self.surface.ring.zero) + c
-        return CohClass(self.surface, self.deg0 + other.deg0, deg2,
-                        self.deg4 + other.deg4)
+        out = dict(self.coeffs)
+        for name, c in other.coeffs.items():
+            out[name] = out[name] + c if name in out else c
+        return CohClass(self.surface, out)
 
     def __neg__(self):
-        return CohClass(self.surface, -self.deg0,
-                        {d: -c for d, c in self.deg2.items()}, -self.deg4)
+        return CohClass(self.surface, {name: -c for name, c in self.coeffs.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c):
         c = self.surface.ring.coerce(c)
-        return CohClass(self.surface, self.deg0 * c,
-                        {d: v * c for d, v in self.deg2.items()}, self.deg4 * c)
+        return CohClass(self.surface, {name: v * c for name, v in self.coeffs.items()})
 
     def __mul__(self, other):
         if not isinstance(other, CohClass):
             return self.scale(other)
         s = self.surface
-        # a product is formed only when both of its factors are nonzero
-        deg0 = self.deg0 * other.deg0 if self.deg0.terms and other.deg0.terms else s.ring.zero
-        deg2, deg4 = {}, s.ring.zero
-        for x, y in ((self, other), (other, self)):
-            if x.deg0.terms:
-                for d, c in y.deg2.items():
-                    deg2[d] = deg2[d] + x.deg0 * c if d in deg2 else x.deg0 * c
-                if y.deg4.terms:
-                    deg4 = deg4 + x.deg0 * y.deg4
-        for d1, c1 in self.deg2.items():
-            for d2, c2 in other.deg2.items():
-                deg4 = deg4 + c1 * c2 * s.pairing_symbol(d1, d2)
-        return CohClass(s, deg0, deg2, deg4)
+        out = {}
+        for a, ca in self.coeffs.items():
+            for b, cb in other.coeffs.items():
+                got = s.basis_product(a, b)
+                if got is not None:
+                    name, pairing = got
+                    c = ca * cb if pairing is None else ca * cb * pairing
+                    out[name] = out[name] + c if name in out else c
+        return CohClass(s, out)
 
     __rmul__ = __mul__
 
@@ -182,28 +186,26 @@ class CohClass:
         return out
 
     def integral(self):
-        """Pushforward to the point: the degree-4 coefficient."""
-        return self.deg4
+        """Pushforward to the point: the pt coefficient."""
+        return self.coeffs.get("pt", self.surface.ring.zero)
 
     def pair(self, other):
         return (self * other).integral()
 
+    def _sorted(self):
+        """(degree, name, coefficient) triples by degree, then name."""
+        degrees = self.surface.degrees
+        return sorted((degrees[name], name, c) for name, c in self.coeffs.items())
+
     def homogeneous_parts(self):
-        """Nonzero (degree, class) components."""
-        s = self.surface
-        out = []
-        if not self.deg0.is_zero():
-            out.append((0, CohClass(s, self.deg0, {}, s.ring.zero)))
-        if self.deg2:
-            out.append((2, CohClass(s, s.ring.zero, self.deg2, s.ring.zero)))
-        if not self.deg4.is_zero():
-            out.append((4, CohClass(s, s.ring.zero, {}, self.deg4)))
-        return out
+        """Nonzero (degree, class) components, by degree."""
+        parts = {}
+        for d, name, c in self._sorted():
+            parts.setdefault(d, {})[name] = c
+        return [(d, CohClass(self.surface, coeffs)) for d, coeffs in parts.items()]
 
     def key(self):
-        return (self.deg0.key(),
-                tuple(sorted((d, c.key()) for d, c in self.deg2.items())),
-                self.deg4.key())
+        return tuple((name, c.key()) for _, name, c in self._sorted())
 
     def id(self):
         """Small integer naming this class in its surface: equal classes, equal ids."""
@@ -224,14 +226,7 @@ class CohClass:
         return hash(self.key())
 
     def __repr__(self):
-        bits = []
-        if not self.deg0.is_zero():
-            bits.append(f"({self.deg0})*1X")
-        for d, c in sorted(self.deg2.items()):
-            bits.append(f"({c})*{d}")
-        if not self.deg4.is_zero():
-            bits.append(f"({self.deg4})*pt")
-        return " + ".join(bits) if bits else "0"
+        return " + ".join(f"({c})*{name}" for _, name, c in self._sorted()) or "0"
 
 
 class DecoratedOp:
@@ -661,11 +656,8 @@ def vertex_trace_sum(expansions, surface, order):
         parts, cid = leftover
         got = degrees.get((len(parts), cid))
         if got is None:
-            k = classes[cid]
             got = degrees[len(parts), cid] = frozenset(
-                2 * (len(parts) - 2) + d for d, part in (
-                    (0, not k.deg0.is_zero()), (2, k.deg2), (4, not k.deg4.is_zero()))
-                if part)
+                2 * (len(parts) - 2) + surface.degrees[name] for name in classes[cid].coeffs)
         return got
 
     return _contract_trace(expansions, order, contract,

@@ -352,13 +352,13 @@ def _trala_cases(i, j, order):
 def check_trala_suite(order):
     reducer = euler_pow(1, order)
     # the empty word: Tr q^n is the inverse Euler product, reduced to 1
-    yield "empty word, recursive", equiv_trace((), order), QSeries.one(order)
+    yield "empty word, scalar engine", equiv_trace((), order), QSeries.one(order)
     yield ("empty word, brute force", fock_trace_bruteforce((), order),
            euler_pow(-1, order))
     for i in range(1, 5):
         for j in range(1, 5):
             for parts, want in _trala_cases(i, j, order):
-                yield (f"recursive engine, word {parts}",
+                yield (f"scalar engine, word {parts}",
                        equiv_trace(parts, order), want)
                 yield (f"brute-force engine, word {parts}",
                        fock_trace_bruteforce(parts, order) * reducer, want)

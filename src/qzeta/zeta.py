@@ -25,17 +25,22 @@ def eulerian(s):
     """
     if s < 1:
         raise ValueError("index must be a positive integer")
+    return (ZERO,) + tuple(map(Fraction, _eulerian_row(s, s)))
+
+
+def _eulerian_row(s, width):
+    """A(s-1, k) for k < width; each entry needs only the entries k < width before it."""
     row = [1]
     for n in range(1, s):
         prev = row + [0]  # prev[-1] = 0 stands for A(n-1, -1)
-        row = [(k + 1) * prev[k] + (n - k) * prev[k - 1] for k in range(n)]
-    return (ZERO,) + tuple(map(Fraction, row))
+        row = [(k + 1) * prev[k] + (n - k) * prev[k - 1] for k in range(min(n, width))]
+    return row
 
 
-def _bracket_numerator(s):
-    """t*P_{s-1}(t)/(s-1)!; starts at t^1."""
+def _bracket_numerator(s, order):
+    """t*P_{s-1}(t)/(s-1)! through t^(order+1); starts at t^1."""
     f = Fraction(1, factorial(s - 1))
-    return tuple(c * f for c in eulerian(s))
+    return (ZERO,) + tuple(c * f for c in _eulerian_row(s, order + 1))
 
 
 def _zeta_numerator(s):
@@ -92,7 +97,7 @@ def bracket(indices, order):
     indices = tuple(indices)
     if any((not isinstance(s, int)) or s < 1 for s in indices):
         raise ValueError("bracket indices must be integers >= 1")
-    return _zq_series(_bracket_numerator, indices, order)
+    return _zq_series(lambda s: _bracket_numerator(s, order), indices, order)
 
 
 def z_series(indices, order):

@@ -268,6 +268,14 @@ class TestMainInProcess:
         assert table["Z(2)^2"] == "1" and table["Z(4)"] == "1"
         assert table["weight"] == "4"
 
+    @pytest.mark.parametrize("text", ["3", "-2"])
+    def test_decompose_reads_bare_number_file_as_expression(self, tmp_path, text):
+        path = tmp_path / "number.txt"
+        path.write_text(text + "\n")
+        got = self.run_main("decompose", str(path), "--weight", "2", "--order", "12")
+        assert got == self.run_main("decompose", text, "--weight", "2", "--order", "12")
+        assert got == (0, f"1\t{text}\nweight\t0\nverified_to\t12\n")
+
     def test_decompose_reads_series_json(self, tmp_path):
         from qzeta.ring import series_to_json
         from qzeta.zeta import eval_named

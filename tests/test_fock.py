@@ -926,6 +926,145 @@ class TestInternedClasses:
             vertex_trace([foreign], surf, 5)
 
 
+class ReferenceClass:
+    """The reference for `CohClass` arithmetic: the former three-slot class,
+    a degree-0 coefficient, a divisor -> coefficient map and a degree-4
+    coefficient, with its former operations."""
+
+    def __init__(self, surface, unit, divisors, top):
+        self.surface, self.unit, self.top = surface, unit, top
+        self.divisors = {d: c for d, c in divisors.items() if not c.is_zero()}
+
+    @classmethod
+    def named(cls, surface, name):
+        zero, one = surface.ring.zero, surface.ring.one
+        if name == "1X":
+            return cls(surface, one, {}, zero)
+        if name in ("pt", "e"):
+            return cls(surface, zero, {}, one if name == "pt" else surface.chi)
+        return cls(surface, zero, {name: one}, zero)
+
+    def is_zero(self):
+        return self.unit.is_zero() and not self.divisors and self.top.is_zero()
+
+    def __add__(self, other):
+        divisors = dict(self.divisors)
+        for d, c in other.divisors.items():
+            divisors[d] = divisors.get(d, self.surface.ring.zero) + c
+        return ReferenceClass(self.surface, self.unit + other.unit, divisors,
+                              self.top + other.top)
+
+    def __sub__(self, other):
+        return self + other.scale(-1)
+
+    def scale(self, c):
+        c = self.surface.ring.coerce(c)
+        return ReferenceClass(self.surface, self.unit * c,
+                              {d: v * c for d, v in self.divisors.items()}, self.top * c)
+
+    def __mul__(self, other):
+        s = self.surface
+        unit = self.unit * other.unit
+        divisors, top = {}, s.ring.zero
+        for x, y in ((self, other), (other, self)):
+            for d, c in y.divisors.items():
+                divisors[d] = divisors.get(d, s.ring.zero) + x.unit * c
+            top = top + x.unit * y.top
+        for d1, c1 in self.divisors.items():
+            for d2, c2 in other.divisors.items():
+                top = top + c1 * c2 * s.pairing_symbol(d1, d2)
+        return ReferenceClass(s, unit, divisors, top)
+
+    def __pow__(self, n):
+        out = ReferenceClass.named(self.surface, "1X")
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def pair(self, other):
+        return (self * other).top
+
+    def homogeneous_parts(self):
+        s, zero = self.surface, self.surface.ring.zero
+        parts = [(0, ReferenceClass(s, self.unit, {}, zero)),
+                 (2, ReferenceClass(s, zero, self.divisors, zero)),
+                 (4, ReferenceClass(s, zero, {}, self.top))]
+        return [(d, part) for d, part in parts if not part.is_zero()]
+
+    def key(self):
+        return (self.unit.key(), tuple(sorted((d, c.key()) for d, c in self.divisors.items())),
+                self.top.key())
+
+    def __repr__(self):
+        bits = [f"({self.unit})*1X"] if not self.unit.is_zero() else []
+        bits += [f"({c})*{d}" for d, c in sorted(self.divisors.items())]
+        bits += [f"({self.top})*pt"] if not self.top.is_zero() else []
+        return " + ".join(bits) if bits else "0"
+
+
+def assert_same_class(klass, ref):
+    """`klass` holds the reference's coefficients and prints, integrates and
+    splits by degree as the reference does."""
+    degrees, zero = klass.surface.degrees, klass.surface.ring.zero
+    assert klass.coeffs.get("1X", zero) == ref.unit, (klass, ref)
+    assert {n: c for n, c in klass.coeffs.items() if degrees[n] == 2} == ref.divisors
+    assert klass.coeffs.get("pt", zero) == ref.top == klass.integral()
+    assert repr(klass) == repr(ref)
+    assert klass.is_zero() == ref.is_zero()
+    assert [(d, repr(part)) for d, part in klass.homogeneous_parts()] == \
+        [(d, repr(part)) for d, part in ref.homogeneous_parts()]
+
+
+class TestClassArithmetic:
+    """One coefficient map per class against the three-slot reference."""
+
+    NAMES = ("1X", "K", "L1", "L2", "pt", "e")
+
+    @pytest.mark.parametrize("kwargs", [{}, {"K_trivial": True}, {"chi": 24}],
+                             ids=["general", "K-trivial", "chi=24"])
+    def test_matches_three_slot_reference(self, kwargs):
+        surf = SurfaceModel(**kwargs)
+        zero = surf.ring.zero
+        rng = random.Random(24)
+
+        def draw():
+            klass, ref = surf.zero_class(), ReferenceClass(surf, zero, {}, zero)
+            for name in self.NAMES:
+                w = rng.choice((0, 0, 1, -1, 2, -3))
+                klass = klass + surf.class_by_name(name).scale(w)
+                ref = ref + ReferenceClass.named(surf, name).scale(w)
+            return klass, ref
+
+        ids, keys = {}, {}
+
+        def check(klass, ref):
+            assert_same_class(klass, ref)
+            # equal classes get equal ids, and different classes different ids
+            assert ids.setdefault(ref.key(), klass.id()) == klass.id(), (klass, ref)
+            assert keys.setdefault(klass.id(), ref.key()) == ref.key(), (klass, ref)
+
+        for name in self.NAMES:
+            check(surf.class_by_name(name), ReferenceClass.named(surf, name))
+        for _ in range(150):
+            (a, ra), (b, rb) = draw(), draw()
+            c = rng.randint(-3, 3)
+            for klass, ref in ((a, ra), (a + b, ra + rb), (b + a, ra + rb),
+                               (a - b, ra - rb), ((a - b) + b, ra), (a.scale(c), ra.scale(c)),
+                               (a * b, ra * rb), (b * a, ra * rb), (a * c, ra.scale(c))):
+                check(klass, ref)
+            for p in range(4):
+                check(a ** p, ra ** p)
+            assert a.pair(b) == ra.pair(rb) == b.pair(a)
+        assert len(ids) > 500
+
+    @pytest.mark.parametrize("name", ["1X", "pt", "e"])
+    def test_reserved_divisor_names_rejected(self, name):
+        with pytest.raises(ValueError, match="reserved"):
+            SurfaceModel(divisors=("K", "L1", name))
+        with pytest.raises(ValueError):
+            SurfaceModel().divisor(name)
+
+
 def reference_length3_zero_partitions(bound):
     """The reference listing for `chern_op(1)`: the former hand-coded
     canonical 3-part generalized partitions of 0, with symmetry factorials."""
@@ -975,7 +1114,7 @@ class TestChernOps:
         surf = SurfaceModel()
         terms = chern_op(1, surf.one(), surf, 5)
         # (1 - n)/2 on the K-decorated diagonal pairs
-        got = {op.parts: c for c, op in terms if op.klass.deg2}
+        got = {op.parts: c for c, op in terms if op.klass == surf.canonical()}
         for n in range(1, 6):
             assert got[(-n, n)] == F(1 - n, 2)
 
@@ -983,7 +1122,8 @@ class TestChernOps:
         surf = SurfaceModel(K_trivial=True)
         N = 8
         with_k = chern_op(1, surf.one(), surf, N)
-        k_ops = [(c, op) for c, op in with_k if op.klass.deg2]
+        k_ops = [(c, op) for c, op in with_k if op.klass == surf.canonical()]
+        assert len(k_ops) == N
         for c, op in k_ops[:3]:
             t = trace_product([op], surf, N)
             assert t.is_zero()

@@ -65,6 +65,13 @@ class TestBrackets:
                     F(d ** (s - 1), factorial(s - 1)))
             assert bracket((s,), N).agrees_with(want), s
 
+    def test_huge_index_reads_only_the_rows_entries_it_needs(self):
+        # the Eulerian row of index 1500 has 1499 entries; order 3 reads three
+        s, N = 1500, 3
+        want = [F(sum(d ** (s - 1) for d in range(1, n + 1) if n % d == 0),
+                  factorial(s - 1)) for n in range(N + 1)]
+        assert list(bracket((s,), N).coeffs) == want
+
     def test_rejects_bad_index(self):
         with pytest.raises(ValueError):
             bracket((0,), 5)
