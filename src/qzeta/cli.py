@@ -389,9 +389,10 @@ def _emit_series(s, as_json, out):
     if as_json:
         _emit_json(series_to_json(s), out)
         return
-    for n, c in enumerate(s.coeffs):
-        text = repr(c) if s.ring is not None else str(c)
-        out.write(f"{n}\t{text}\n")
+    # the whole text is built before it is written, so a coefficient too long
+    # to print fails the command with nothing on stdout
+    text = repr if s.ring is not None else str
+    out.write("".join(f"{n}\t{text(c)}\n" for n, c in enumerate(s.coeffs)))
 
 
 def _index_order(order):
@@ -463,10 +464,8 @@ def cmd_decompose(args, out):
                     "coeffs": [[str(c.numerator), str(c.denominator)] for c in coeffs],
                     "verified_to": args.order}, out)
     else:
-        for name, c in zip(names, coeffs):
-            if c:
-                out.write(f"{name}\t{c}\n")
-        out.write(f"weight\t{result.weight}\nverified_to\t{args.order}\n")
+        out.write("".join(f"{name}\t{c}\n" for name, c in zip(names, coeffs) if c)
+                  + f"weight\t{result.weight}\nverified_to\t{args.order}\n")
     return 0
 
 

@@ -7,7 +7,6 @@ then verifies every coefficient up to the working order as an identity of
 integers; only the returned coefficients are Fractions.
 """
 from fractions import Fraction
-from functools import lru_cache
 from operator import mul
 
 from .ring import QSeries
@@ -33,7 +32,7 @@ def basis_monomials(weight):
         for b in range((weight - 6 * c) // 4 + 1):
             for a in range((weight - 6 * c - 4 * b) // 2 + 1):
                 out.append((a, b, c))
-    out.sort(key=lambda m: (2 * m[0] + 4 * m[1] + 6 * m[2], m))
+    out.sort(key=lambda m: (monomial_weight(m), m))
     return out
 
 
@@ -53,17 +52,17 @@ def monomial_name(m):
     return "*".join(bits) if bits else "1"
 
 
-@lru_cache(maxsize=None)
-def _monomial_series(m, order):
-    a, b, c = m
-    s = QSeries.one(order)
-    if a:
-        s = s * z_series((2,), order) ** a
-    if b:
-        s = s * z_series((4,), order) ** b
-    if c:
-        s = s * z_series((6,), order) ** c
-    return s
+def _basis_series(weight, order):
+    """{monomial: series} in basis_monomials(weight) order: Z(2), Z(4), Z(6) from
+    z_series, and each other monomial its parent (one fewer factor of its highest
+    generator, so of lower weight) times that generator.  Nothing is cached."""
+    gens = [z_series((s,), order) for s in (2, 4, 6) if s <= weight]
+    out = {(0, 0, 0): QSeries.one(order)}
+    for m in basis_monomials(weight)[1:]:
+        i = max(k for k, e in enumerate(m) if e)
+        parent = m[:i] + (m[i] - 1,) + m[i + 1:]
+        out[m] = out[parent] * gens[i] if any(parent) else gens[i]
+    return out
 
 
 class QMBasis:
@@ -76,8 +75,8 @@ class QMBasis:
         if order < need:
             raise ValueError(
                 f"order {order} too small for a well-posed solve: need at least {need}")
-        self.monomials = basis_monomials(weight)
-        self.series = [_monomial_series(m, order) for m in self.monomials]
+        series = _basis_series(weight, order)
+        self.monomials, self.series = list(series), list(series.values())
 
     def __len__(self):
         return len(self.monomials)
@@ -101,10 +100,8 @@ class QMDecomposition:
         return max((monomial_weight(m) for m in self.coeffs), default=0)
 
     def reconstruct(self, order):
-        s = QSeries.zero(order)
-        for m, c in self.coeffs.items():
-            s = s + _monomial_series(m, order).scale(c)
-        return s
+        basis = _basis_series(self.weight, order)
+        return sum((basis[m].scale(c) for m, c in self.coeffs.items()), QSeries.zero(order))
 
     def __eq__(self, other):
         return isinstance(other, QMDecomposition) and self.coeffs == other.coeffs

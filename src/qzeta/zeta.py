@@ -115,9 +115,9 @@ def _bernoulli_list(n):
     """B_0..B_n from sum_{j<=m} C(m+1, j) B_j = 0 for m >= 1."""
     out = [ONE]
     for m in range(1, n + 1):
-        # B_j = 0 for odd j >= 3, so those terms are skipped
-        out.append(-sum(comb(m + 1, j) * out[j] for j in range(m) if j < 2 or j % 2 == 0)
-                   / (m + 1))
+        # B_j = 0 for odd j >= 3: those entries are set, not summed, and their terms skipped
+        out.append(ZERO if m > 1 and m % 2 else -sum(
+            comb(m + 1, j) * out[j] for j in range(m) if j < 2 or j % 2 == 0) / (m + 1))
     return out
 
 

@@ -363,6 +363,46 @@ class TestFailureModes:
         new = [e for e in live_engines() if not any(e is b for b in before)]
         assert new == []
 
+    @pytest.mark.parametrize("argv", [
+        ("expand", "B[2000]", "--order", "3"),
+        ("decompose", "1 + 2^15000*Z(2)", "--weight", "2", "--order", "14"),
+    ], ids=["expand", "decompose"])
+    def test_unprintable_coefficient_writes_nothing(self, capsys, argv):
+        # a coefficient past the 4300-digit str() limit fails the command
+        # before any line of its text reaches stdout
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and "4300" in captured.err
+
+    def test_order_sweep_grows_no_cache(self, capsys):
+        # decompose builds its basis per call and trace its engine per call,
+        # so a long-lived process sweeping orders keeps nothing per order
+        import gc
+        import tracemalloc
+
+        def sweep(orders):
+            for order in map(str, orders):
+                assert main(["decompose", "Z(2)^3 + 5*Z(2)*Z(4) - Z(6)", "--weight", "6",
+                             "--order", order]) == 0
+                assert main(["expand", "Z(2)*G(4) + B[2,1]", "--order", order]) == 0
+                assert main(["trace", "a[-1,3](1X) * a[-3,1](1X)", "--order", order]) == 0
+            capsys.readouterr()
+
+        sweep([17])
+        gc.collect()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            sweep(range(17, 29))
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        # a cache keyed by the order would hold tens of kilobytes
+        assert held < 4096, held
+
     def test_trace_bad_chi_exit_2(self, capsys):
         code, err = self.run_main(capsys, "trace", "a[1](1X) * a[-1](1X)", "--chi", "1.5")
         assert code == 2

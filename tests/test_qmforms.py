@@ -7,9 +7,9 @@ import pytest
 
 from qzeta.ring import QSeries
 from qzeta.zeta import bracket, eval_named, z_series
-from qzeta.qmforms import (NotInSpan, QMDecomposition, _eliminate, basis_monomials,
-                           basis_size, decompose, decompose_mpoly, monomial_name,
-                           monomial_weight, qm_basis)
+from qzeta.qmforms import (SOLVE_MARGIN, NotInSpan, QMDecomposition, _eliminate,
+                           basis_monomials, basis_size, decompose, decompose_mpoly,
+                           monomial_name, monomial_weight, qm_basis)
 from qzeta.fock import SurfaceModel
 from qzeta.pipeline import ch1ch1_reduced, standard_surface
 
@@ -54,6 +54,37 @@ class TestBasis:
         need = basis_size(10 ** 6) + 10
         with pytest.raises(ValueError, match=f"order 20 too small .* need at least {need}$"):
             qm_basis(10 ** 6, 20)
+
+
+def reference_power_product(m, order):
+    """Z(2)^a Z(4)^b Z(6)^c as a product of whole generator powers, built apart
+    from the basis, which multiplies each monomial's parent by one generator."""
+    a, b, c = m
+    s = QSeries.one(order)
+    if a:
+        s = s * z_series((2,), order) ** a
+    if b:
+        s = s * z_series((4,), order) ** b
+    if c:
+        s = s * z_series((6,), order) ** c
+    return s
+
+
+class TestBasisSeries:
+    @pytest.mark.parametrize("weight", range(0, 13, 2))
+    def test_matches_generator_powers(self, weight):
+        for order in range(basis_size(weight) + SOLVE_MARGIN, 61):
+            basis = qm_basis(weight, order)
+            assert basis.monomials == basis_monomials(weight)
+            want = [reference_power_product(m, order) for m in basis.monomials]
+            assert basis.series == want, order
+
+    def test_reconstruct_reads_the_same_series(self):
+        coeffs = {(0, 0, 0): F(2), (1, 1, 0): F(-3, 7), (0, 0, 2): F(5)}
+        dec = QMDecomposition(coeffs, 12, 40)
+        want = sum((reference_power_product(m, 40).scale(c) for m, c in coeffs.items()),
+                   QSeries.zero(40))
+        assert dec.reconstruct(40) == want
 
 
 class TestDecompose:

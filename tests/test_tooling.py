@@ -12,7 +12,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 # process-lifetime caches hold their entries until exit; the count may only fall
-MAX_LRU_CACHE_SITES = 2
+MAX_LRU_CACHE_SITES = 1
 # stdlib modules `import qzeta.cli` must not load: each costs every process
 # its import, and without a bytecode cache its compile; the list may only grow
 NOT_LOADED_BY_IMPORT = ("logging", "traceback", "dataclasses", "inspect", "ast", "dis",
