@@ -50,18 +50,15 @@ def _pair_symbol(d1, d2):
 class SurfaceModel:
     """Symbolic even cohomology of a surface and its basis.
 
-    The basis names are 1X (degree 0), each divisor (degree 2) and pt (degree
-    4). Pairings between divisors are formal symbols; the Euler class e
-    integrates to chi (a symbol unless an integer value is fixed). With K
-    numerically trivial every pairing involving K is zero.
+    The basis names are 1X (degree 0), the divisors K, L1 and L2 (degree 2)
+    and pt (degree 4). Pairings between divisors are formal symbols; the
+    Euler class e integrates to chi (a symbol unless an integer value is
+    fixed). With K numerically trivial every pairing involving K is zero.
     """
 
-    def __init__(self, divisors=("K", "L1", "L2"), chi=None, K_trivial=False):
-        self.divisors = tuple(divisors)
-        if "K" not in self.divisors:
-            raise ValueError("the surface model needs a canonical divisor K")
-        if {"1X", "pt", "e"} & set(self.divisors):
-            raise ValueError("divisor names 1X, pt and e are reserved")
+    divisors = ("K", "L1", "L2")
+
+    def __init__(self, chi=None, K_trivial=False):
         self.degrees = {"1X": 0, **dict.fromkeys(self.divisors, 2), "pt": 4}
         symbols = ["chi"]
         for i, d1 in enumerate(self.divisors):
@@ -965,16 +962,16 @@ def _gamma_minus_row(state, budget, table):
     return row
 
 
-def _gamma_plus_row(state, scale, bmax, sign=-1):
+def _gamma_plus_row(state, scale, bmax):
     """Gamma_+(scale, x): remove multisets of removed size b <= bmax.
 
-    a_n removes a part n with factor sign*n*mult, so taking k of the m parts n
-    gives (scale/n)^k/k! (sign*n)^k m!/(m-k)! = (scale*sign)^k C(m, k): the
-    row's numerators are the coefficients of x^(-b) themselves.
+    a_n removes a part n with factor -n*mult, so taking k of the m parts n
+    gives (scale/n)^k/k! (-n)^k m!/(m-k)! = (-scale)^k C(m, k): the row's
+    numerators are the coefficients of x^(-b) themselves.
     """
     row = [((), 0, 1)]
     for n, m in Counter(state).items():
-        row = [(kept + (n,) * (m - k), b + n * k, c * (scale * sign) ** k * comb(m, k))
+        row = [(kept + (n,) * (m - k), b + n * k, c * (-scale) ** k * comb(m, k))
                for kept, b, c in row for k in range(m + 1) if b + n * k <= bmax]
     return [entry for entry in row if entry[2]]
 

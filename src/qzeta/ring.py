@@ -438,16 +438,6 @@ class QSeries:
         s = _canon(nums, den)
         return _series(order, None, {} if s is None else {(): s})
 
-    @staticmethod
-    def monomial(exponent, order, scale=ONE, ring=None):
-        if exponent < 0:
-            raise ValueError("negative q-exponent")
-        if exponent > order:
-            return QSeries.zero(order, ring)
-        nums = [0] * (order + 1)
-        nums[exponent] = 1
-        return _series(order, ring, {_zero_exps(ring): (nums, 1)}).scale(scale)
-
     # -- ring plumbing -------------------------------------------------
 
     def _check_ring(self, other):
@@ -653,15 +643,22 @@ def lambert_term(numer_shift, denom_form, power, scale=ONE, order=30, ring=None)
 def euler_pow(c, order):
     """(q; q)_infinity ** c to the given order, for any integer c.
 
-    Computed from the finite product of (1 - q^i) for i <= order; negative
-    exponents go through series inversion (valid: unit constant term).
+    The finite product of (1 - q^i)^c for i <= order, each factor applied to
+    one integer numerator list through its binomial row: the q^(ij)
+    coefficient is (-1)^j C(c, j), which is C(j - c - 1, j) for c < 0.
     """
-    prod = QSeries.one(order)
+    if not isinstance(c, int):
+        raise ValueError("the Euler product exponent must be an integer")
+    nums = [1] + [0] * order
     for i in range(1, order + 1):
-        prod = prod * (QSeries.one(order) - QSeries.monomial(i, order))
-    if c >= 0:
-        return prod ** c
-    return (prod ** (-c)).inverse()
+        row, b = nums[:], 1
+        for j in range(1, order // i + 1):
+            b = b * (j - 1 - c) // j  # exact: (-1)^j C(c, j)
+            if b:
+                at = i * j
+                row[at:] = map(add, row[at:], [b * x for x in nums[: order + 1 - at]])
+        nums = row
+    return QSeries.from_numerators(nums, 1, order)
 
 
 def geometric(m, order, ring=None):

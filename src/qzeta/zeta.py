@@ -182,10 +182,6 @@ class IndexPoly:
         self.den = lcm(*(c.denominator for c, _ in self.terms))
         self._ints = [(c.numerator * (self.den // c.denominator), e) for c, e in self.terms]
 
-    @staticmethod
-    def const(c, nindices):
-        return IndexPoly([(c, (0,) * nindices)])
-
     def numerator(self, values):
         """den times the value: an integer at integer values."""
         return sum(c * prod(x ** e for x, e in zip(values, exps) if e)
@@ -202,17 +198,25 @@ class IndexPoly:
 
 
 class SumFactor:
-    """One Lambert-type factor: poly(n) * q^num(n) / (1 - q^den(n))^power."""
+    """One Lambert-type factor: poly(n) * q^num(n) * P(t) / (1 - t)^power, t = q^den(n).
 
-    __slots__ = ("poly", "num", "den", "power")
+    numer holds the integer coefficients of P, constant term first.  That
+    term is nonzero, so num(n) stays the factor's least q-exponent.
+    """
 
-    def __init__(self, num, den, power=1, poly=None):
+    __slots__ = ("poly", "num", "den", "power", "numer")
+
+    def __init__(self, num, den, power=1, poly=None, numer=(1,)):
         self.num = num
         self.den = den
         self.power = int(power)
         self.poly = poly
+        self.numer = tuple(numer)
         if self.power < 1:
             raise ValueError("denominator power must be positive")
+        if not (self.numer and all(isinstance(c, int) for c in self.numer) and self.numer[0]):
+            raise ValueError("numerator polynomial needs integer coefficients "
+                             "and a nonzero constant term")
 
     def support(self):
         out = set(self.num.support()) | set(self.den.support())
@@ -232,9 +236,11 @@ class SumTerm:
 
 
 class NestedSumSpec:
-    """A multi-index Lambert-type sum.
+    """A multi-index Lambert-type sum: scale times the sum of its SumTerms.
 
-    constraint is one of:
+    Each term is a scaled product of SumFactors, and a factor carries its own
+    numerator polynomial P, so a displayed numerator (1 + q^m) over the pole
+    (1 - q^m) is one factor of one term.  constraint is one of:
       "free"                      -- all indices independent, >= 1
       "chain"                     -- n_0 > n_1 > ... > n_{k-1} >= 1
       ("equal_sum", A, B)         -- indices >= 1 with sum over A == sum over B
@@ -402,7 +408,7 @@ def _eval_term(spec, term, order):
                     raise ValueError("denominator form must be positive on the index cone")
                 if f.num(values) < 0:
                     raise ValueError("numerator form must be nonnegative on the index cone")
-                poles.append((pole, f.power))
+                poles.append((pole, f.power, f.numer))
                 if f.poly is not None:
                     scalar *= f.poly.numerator(values)
             if shift > budget or not scalar:
@@ -410,8 +416,16 @@ def _eval_term(spec, term, order):
             # a negative constant can make the first shift negative; the
             # total exponent is not, so the degrees below -shift are zero
             y = subtree(d + 1, budget - shift)[max(-shift, 0): budget - shift + 1]
-            for pole, power in poles:
+            for pole, power, numer in poles:
                 _divide(y, pole, power)
+                if len(numer) > 1:
+                    # times P(q^pole): one shifted add of the quotient per further term
+                    quot = y
+                    y = [numer[0] * x for x in quot] if numer[0] != 1 else quot[:]
+                    for j, c in enumerate(numer[1:], 1):
+                        if c:
+                            y[j * pole:] = map(add, y[j * pole:],
+                                               quot if c == 1 else [c * x for x in quot])
             lo = max(shift, 0)
             acc[lo:] = map(add, acc[lo:], y if scalar == 1 else [scalar * x for x in y])
         values[idx] = 0
@@ -445,9 +459,12 @@ def _build_catalog():
     A named sum is the sum of its specs.  h11_0 / h11_2 / h11_4 are the three
     components of the equivariant two-point function; thm_sum1..3 are the
     explicit sums multiplying the canonical-divisor square in the surface
-    two-point theorem.
+    two-point theorem.  Each displayed numerator (1 + q^m) is one factor's
+    P(t) = 1 + t over its pole (1 - q^m), so each displayed summand is one
+    term.
     """
     catalog = {}
+    plus = (1, 1)  # P(t) = 1 + t
 
     # h11_0 = sum_{i,j>0} ij(i+j) q^(i+j) / ((1-q^i)(1-q^j)(1-q^(i+j)))
     catalog["h11_0"] = [NestedSumSpec(
@@ -461,41 +478,26 @@ def _build_catalog():
 
     # h11_2 = -sum j(i+j)(q^(i+j)+q^(2i+j)) / ((1-q^i)^2 (1-q^j)(1-q^(i+j)))
     #         - (1/2) sum ij (q^(i+j)+q^(2i+2j)) / ((1-q^i)(1-q^j)(1-q^(i+j))^2)
-    poly_j_ipj = IndexPoly([(1, (1, 1)), (1, (0, 2))])
-    poly_ij = IndexPoly([(1, (1, 1))])
     catalog["h11_2"] = [NestedSumSpec(
         2, "free",
         [
-            SumTerm([SumFactor(_lf([1, 1]), _lf([1, 0]), 2, poly=poly_j_ipj),
+            SumTerm([SumFactor(_lf([1, 1]), _lf([1, 0]), 2, numer=plus,
+                               poly=IndexPoly([(1, (1, 1)), (1, (0, 2))])),
                      SumFactor(_lf([0, 0]), _lf([0, 1])),
                      SumFactor(_lf([0, 0]), _lf([1, 1]))], scale=-1),
-            SumTerm([SumFactor(_lf([2, 1]), _lf([1, 0]), 2, poly=poly_j_ipj),
+            SumTerm([SumFactor(_lf([1, 1]), _lf([1, 0]), poly=IndexPoly([(1, (1, 1))])),
                      SumFactor(_lf([0, 0]), _lf([0, 1])),
-                     SumFactor(_lf([0, 0]), _lf([1, 1]))], scale=-1),
-            SumTerm([SumFactor(_lf([1, 1]), _lf([1, 0]), poly=poly_ij),
-                     SumFactor(_lf([0, 0]), _lf([0, 1])),
-                     SumFactor(_lf([0, 0]), _lf([1, 1]), 2)], scale=Fraction(-1, 2)),
-            SumTerm([SumFactor(_lf([2, 2]), _lf([1, 0]), poly=poly_ij),
-                     SumFactor(_lf([0, 0]), _lf([0, 1])),
-                     SumFactor(_lf([0, 0]), _lf([1, 1]), 2)], scale=Fraction(-1, 2)),
+                     SumFactor(_lf([0, 0]), _lf([1, 1]), 2, numer=plus)],
+                    scale=Fraction(-1, 2)),
         ])]
 
     # h11_4: (1/4) sum_{i+j=k+l} (i+j) q^(i+j)(1+q^(i+j)) / (...)
     #        - sum_{i,j,k} (i+j) q^(i+j+k)(1+q^(i+j)) / (...)
     #        + sum_{i,j,k} k q^(i+j+k)(1+q^k) / (...)
-    poly_ipj4 = IndexPoly([(1, (1, 0, 0, 0)), (1, (0, 1, 0, 0))])
-    poly_ipj3 = IndexPoly([(1, (1, 0, 0)), (1, (0, 1, 0))])
-    poly_k3 = IndexPoly([(1, (1, 0, 0))])
-
     catalog["h11_4"] = [
         NestedSumSpec(4, ("equal_sum", (0, 1), (2, 3)), [
-            SumTerm([SumFactor(_lf([1, 1, 0, 0]), _lf([1, 1, 0, 0]), poly=poly_ipj4),
-                     SumFactor(_lf([0, 0, 0, 0]), _lf([1, 0, 0, 0])),
-                     SumFactor(_lf([0, 0, 0, 0]), _lf([0, 1, 0, 0])),
-                     SumFactor(_lf([0, 0, 0, 0]), _lf([0, 0, 1, 0])),
-                     SumFactor(_lf([0, 0, 0, 0]), _lf([0, 0, 0, 1]))],
-                    scale=Fraction(1, 4)),
-            SumTerm([SumFactor(_lf([2, 2, 0, 0]), _lf([1, 1, 0, 0]), poly=poly_ipj4),
+            SumTerm([SumFactor(_lf([1, 1, 0, 0]), _lf([1, 1, 0, 0]), numer=plus,
+                               poly=IndexPoly([(1, (1, 0, 0, 0)), (1, (0, 1, 0, 0))])),
                      SumFactor(_lf([0, 0, 0, 0]), _lf([1, 0, 0, 0])),
                      SumFactor(_lf([0, 0, 0, 0]), _lf([0, 1, 0, 0])),
                      SumFactor(_lf([0, 0, 0, 0]), _lf([0, 0, 1, 0])),
@@ -503,12 +505,8 @@ def _build_catalog():
                     scale=Fraction(1, 4)),
         ]),
         NestedSumSpec(3, "free", [
-            SumTerm([SumFactor(_lf([1, 1, 1]), _lf([1, 1, 0]), poly=poly_ipj3),
-                     SumFactor(_lf([0, 0, 0]), _lf([1, 0, 0])),
-                     SumFactor(_lf([0, 0, 0]), _lf([0, 1, 0])),
-                     SumFactor(_lf([0, 0, 0]), _lf([0, 0, 1])),
-                     SumFactor(_lf([0, 0, 0]), _lf([1, 1, 1]))], scale=-1),
-            SumTerm([SumFactor(_lf([2, 2, 1]), _lf([1, 1, 0]), poly=poly_ipj3),
+            SumTerm([SumFactor(_lf([1, 1, 1]), _lf([1, 1, 0]), numer=plus,
+                               poly=IndexPoly([(1, (1, 0, 0)), (1, (0, 1, 0))])),
                      SumFactor(_lf([0, 0, 0]), _lf([1, 0, 0])),
                      SumFactor(_lf([0, 0, 0]), _lf([0, 1, 0])),
                      SumFactor(_lf([0, 0, 0]), _lf([0, 0, 1])),
@@ -516,12 +514,8 @@ def _build_catalog():
         ]),
         # indexed (k, i, j), so that the subtrees below k are keyed by k alone
         NestedSumSpec(3, "free", [
-            SumTerm([SumFactor(_lf([1, 1, 1]), _lf([1, 0, 0]), poly=poly_k3),
-                     SumFactor(_lf([0, 0, 0]), _lf([0, 1, 0])),
-                     SumFactor(_lf([0, 0, 0]), _lf([0, 0, 1])),
-                     SumFactor(_lf([0, 0, 0]), _lf([1, 1, 0])),
-                     SumFactor(_lf([0, 0, 0]), _lf([1, 0, 1]))]),
-            SumTerm([SumFactor(_lf([2, 1, 1]), _lf([1, 0, 0]), poly=poly_k3),
+            SumTerm([SumFactor(_lf([1, 1, 1]), _lf([1, 0, 0]), numer=plus,
+                               poly=IndexPoly([(1, (1, 0, 0))])),
                      SumFactor(_lf([0, 0, 0]), _lf([0, 1, 0])),
                      SumFactor(_lf([0, 0, 0]), _lf([0, 0, 1])),
                      SumFactor(_lf([0, 0, 0]), _lf([1, 1, 0])),
@@ -530,35 +524,26 @@ def _build_catalog():
     ]
 
     # thm_sum1 = sum_{n>m>0} q^n(1+q^n)/(1-q^n)^3 * (n - nm + m^2)/(1-q^m)
-    poly_nm = IndexPoly([(1, (1, 0)), (-1, (1, 1)), (1, (0, 2))])
     catalog["thm_sum1"] = [NestedSumSpec(
         2, "chain",
-        [
-            SumTerm([SumFactor(_lf([1, 0]), _lf([1, 0]), 3, poly=poly_nm),
-                     SumFactor(_lf([0, 0]), _lf([0, 1]))]),
-            SumTerm([SumFactor(_lf([2, 0]), _lf([1, 0]), 3, poly=poly_nm),
-                     SumFactor(_lf([0, 0]), _lf([0, 1]))]),
-        ])]
+        [SumTerm([SumFactor(_lf([1, 0]), _lf([1, 0]), 3, numer=plus,
+                            poly=IndexPoly([(1, (1, 0)), (-1, (1, 1)), (1, (0, 2))])),
+                  SumFactor(_lf([0, 0]), _lf([0, 1]))])])]
 
     # thm_sum2 = 2 sum_{n>m>l>0} n q^n(1+q^n)/(1-q^n)^3 / ((1-q^m)(1-q^l))
-    poly_n = IndexPoly([(1, (1, 0, 0))])
     catalog["thm_sum2"] = [NestedSumSpec(
         3, "chain",
-        [
-            SumTerm([SumFactor(_lf([1, 0, 0]), _lf([1, 0, 0]), 3, poly=poly_n),
-                     SumFactor(_lf([0, 0, 0]), _lf([0, 1, 0])),
-                     SumFactor(_lf([0, 0, 0]), _lf([0, 0, 1]))], scale=2),
-            SumTerm([SumFactor(_lf([2, 0, 0]), _lf([1, 0, 0]), 3, poly=poly_n),
-                     SumFactor(_lf([0, 0, 0]), _lf([0, 1, 0])),
-                     SumFactor(_lf([0, 0, 0]), _lf([0, 0, 1]))], scale=2),
-        ])]
+        [SumTerm([SumFactor(_lf([1, 0, 0]), _lf([1, 0, 0]), 3, numer=plus,
+                            poly=IndexPoly([(1, (1, 0, 0))])),
+                  SumFactor(_lf([0, 0, 0]), _lf([0, 1, 0])),
+                  SumFactor(_lf([0, 0, 0]), _lf([0, 0, 1]))], scale=2)])]
 
     # thm_sum3 = 2 sum_{n>m>l>0} q^n/(1-q^n)^2 * m q^m/(1-q^m)^2 / (1-q^l)
-    poly_m = IndexPoly([(1, (0, 1, 0))])
     catalog["thm_sum3"] = [NestedSumSpec(
         3, "chain",
         [SumTerm([SumFactor(_lf([1, 0, 0]), _lf([1, 0, 0]), 2),
-                  SumFactor(_lf([0, 1, 0]), _lf([0, 1, 0]), 2, poly=poly_m),
+                  SumFactor(_lf([0, 1, 0]), _lf([0, 1, 0]), 2,
+                            poly=IndexPoly([(1, (0, 1, 0))])),
                   SumFactor(_lf([0, 0, 0]), _lf([0, 0, 1]))], scale=2)])]
 
     return catalog

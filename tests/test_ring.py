@@ -105,6 +105,15 @@ class TestLambert:
             lambert_term(0, 1, 0, order=3)
 
 
+def reference_euler_pow(c, order):
+    """The former construction: the product of the series 1 - q^i for
+    i <= order, then a power, and an inverse for c < 0."""
+    prod = QSeries.one(order)
+    for i in range(1, order + 1):
+        prod = prod * q([1] + [0] * (i - 1) + [-1], order)
+    return prod ** c if c >= 0 else (prod ** -c).inverse()
+
+
 class TestEulerProduct:
     def test_inverse_is_partition_counts(self):
         got = euler_pow(-1, 50)
@@ -117,6 +126,17 @@ class TestEulerProduct:
         for c in range(-3, 4):
             prod = euler_pow(c, 20) * euler_pow(-c, 20)
             assert (prod - QSeries.one(20)).is_zero()
+
+    def test_matches_series_products(self):
+        # the factors 1 - q^i with i > order are 1 to that order
+        for c in [*range(-30, 31), 10 ** 6, -10 ** 6]:
+            want = reference_euler_pow(c, 40)
+            for order in range(41):
+                assert euler_pow(c, order) == want.truncate(order), (c, order)
+
+    def test_non_integer_exponent_rejected(self):
+        with pytest.raises(ValueError):
+            euler_pow(F(1, 2), 5)
 
 
 class TestQDerivative:

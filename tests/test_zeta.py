@@ -226,7 +226,7 @@ class TestNestedSums:
         geo = lambda n: lambert_term(0, n, 1, order=N)
         want = QSeries.zero(N)
         for s in range(2, N + 1):
-            mono = QSeries.monomial(s, N)
+            mono = QSeries([0] * s + [1], N)
             for i in range(1, s):
                 for k in range(1, s):
                     want = want + mono * geo(i) * geo(s - i) * geo(k) * geo(s - k)
@@ -234,6 +234,9 @@ class TestNestedSums:
 
     def test_malformed_specs_raise(self):
         lf = LinearForm
+        for numer in [(), (0, 1), (F(3, 2),), (1.5,)]:
+            with pytest.raises(ValueError, match="numerator polynomial"):
+                SumFactor(lf([1]), lf([1]), numer=numer)
         with pytest.raises(ValueError, match="denominator form"):
             eval_nested_sum(NestedSumSpec(2, "free", [SumTerm([
                 SumFactor(lf([1, 1]), lf([1, -1]))])]), 5)
@@ -305,8 +308,13 @@ def nested_sum_oracle(spec, order):
         for term in spec.terms:
             series, coeff = [1] + [0] * order, spec.scale * term.scale
             for f in term.factors:
-                series = _times(series, _expand(_form(f.num, values), _form(f.den, values),
-                                                f.power, order))
+                num, den = _form(f.num, values), _form(f.den, values)
+                # P(q^den) q^num / (1 - q^den)^power, one expansion per term of P
+                expanded = [0] * (order + 1)
+                for j, c in enumerate(f.numer):
+                    expanded = [a + c * b for a, b in
+                                zip(expanded, _expand(num + j * den, den, f.power, order))]
+                series = _times(series, expanded)
                 if f.poly is not None:
                     coeff *= sum(c * prod(v ** e for v, e in zip(values, exps))
                                  for c, exps in f.poly.terms)
@@ -346,8 +354,8 @@ def _lf(*coeffs, const=0):
     return LinearForm(coeffs, const)
 
 
-# free, chain and equal-sum sums with powers >= 2, numerator constants and
-# IndexPolys with non-integer Fraction coefficients
+# free, chain and equal-sum sums with powers >= 2, numerator constants,
+# numerator polynomials P and IndexPolys with non-integer Fraction coefficients
 ORACLE_SPECS = {
     "free_fraction_poly": NestedSumSpec(2, "free", [
         SumTerm([SumFactor(_lf(1, 2, const=1), _lf(1, 1), 2,
@@ -393,6 +401,13 @@ ORACLE_SPECS = {
         SumTerm([SumFactor(_lf(1, 1, const=-2), _lf(1, 0), 2,
                            poly=IndexPoly([(F(1, 2), (1, 1))])),
                  SumFactor(_lf(0, 0), _lf(0, 1))]),
+    ]),
+    # q^n P(t)/(1-t)^2 with P(t) = 2 - t + 3t^2 and t = q^(m+l), not q^n
+    "chain_numer_poly": NestedSumSpec(3, "chain", [
+        SumTerm([SumFactor(_lf(0, 0, 0), _lf(1, 0, 0), poly=IndexPoly([(F(1, 2), (1, 0, 0))])),
+                 SumFactor(_lf(1, 0, 0), _lf(0, 1, 1), 2, numer=(2, -1, 3),
+                           poly=IndexPoly([(F(-1, 3), (0, 1, 1))])),
+                 SumFactor(_lf(0, 0, 0), _lf(0, 0, 1))], scale=F(3, 2)),
     ]),
     "equal_sum_three_one": NestedSumSpec(4, ("equal_sum", (0, 1, 2), (3,)), [
         SumTerm([SumFactor(_lf(1, 0, 0, 0), _lf(1, 0, 0, 0), 2),
