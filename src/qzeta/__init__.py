@@ -12,7 +12,7 @@ from .zeta import (IndexPoly, LinearForm, NestedSumSpec, SumFactor, SumTerm,
                    bernoulli, bracket, builtin_sums, eisenstein, eulerian,
                    eval_named, eval_nested_sum, z_series)
 from .qmforms import (NotInSpan, QMBasis, QMDecomposition, decompose,
-                      decompose_mpoly, qm_basis)
+                      decompose_mpoly)
 from .fock import (CohClass, DecoratedOp, SurfaceModel, chern_op, commutator,
                    equiv_chern_op, equiv_trace, fock_trace_bruteforce,
                    gamma_commutation_check, gamma_trace, gamma_trace_sum,
@@ -27,7 +27,6 @@ __all__ = [
     "bernoulli", "bracket", "builtin_sums", "eisenstein", "eulerian",
     "eval_named", "eval_nested_sum", "z_series",
     "NotInSpan", "QMBasis", "QMDecomposition", "decompose", "decompose_mpoly",
-    "qm_basis",
     "CohClass", "DecoratedOp", "SurfaceModel", "chern_op", "commutator",
     "equiv_chern_op", "equiv_trace", "fock_trace_bruteforce",
     "gamma_commutation_check", "gamma_trace", "gamma_trace_sum",

@@ -395,23 +395,6 @@ def _emit_series(s, as_json, out):
     out.write("".join(f"{n}\t{text(c)}\n" for n, c in enumerate(s.coeffs)))
 
 
-def _index_order(order):
-    """order, unless a series of order + 1 coefficients cannot be indexed."""
-    if order is not None and order >= sys.maxsize:
-        raise ValueError(f"order {order} is too large")
-    return order
-
-
-def _order_default():
-    env = os.environ.get("QZETA_DEFAULT_ORDER")
-    if env is not None:
-        try:
-            return _index_order(int(env))
-        except ValueError as exc:
-            raise ValueError(f"bad QZETA_DEFAULT_ORDER: {env!r}") from exc
-    return DEFAULT_ORDER
-
-
 # -- commands ---------------------------------------------------------------------
 
 
@@ -507,8 +490,7 @@ def build_arg_parser():
 
     def add_order(p):
         p.add_argument("--order", type=int, default=None,
-                       help=f"truncation order (default {DEFAULT_ORDER}; "
-                            "env QZETA_DEFAULT_ORDER overrides)")
+                       help=f"truncation order (default {DEFAULT_ORDER})")
 
     p = sub.add_parser("expand", help="evaluate an expression to a q-series")
     p.add_argument("expr")
@@ -560,8 +542,10 @@ def main(argv=None):
     try:
         # verify keeps order=None so each check uses its registered default
         if args.order is None and args.fn is not cmd_verify:
-            args.order = _order_default()
-        _index_order(args.order)
+            args.order = DEFAULT_ORDER
+        if args.order is not None and args.order >= sys.maxsize:
+            # a series of order + 1 coefficients could not be indexed
+            raise ValueError(f"order {args.order} is too large")
         return args.fn(args, sys.stdout)
     except (ParseError, KeyError, ValueError, ZeroDivisionError) as exc:
         # str() of a KeyError is the repr of its message

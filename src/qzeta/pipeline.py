@@ -57,10 +57,6 @@ class CheckResult:
 # -- surfaces and F-series ------------------------------------------------------
 
 
-def standard_surface(K_trivial=False, chi=None):
-    return SurfaceModel(chi=chi, K_trivial=K_trivial)
-
-
 class FSeriesSpec:
     """Product of Chern character operators to trace against the vertex."""
 
@@ -367,7 +363,7 @@ def check_trala_suite(order):
 @registered("tracei1Xj1X", 20, 0,
             "two-operator and grouped diagonal traces, i <= 4")
 def check_tracei1Xj1X(order):
-    surf = standard_surface()
+    surf = SurfaceModel()
     R = surf.ring
     one, l1, l2 = surf.one(), surf.divisor("L1"), surf.divisor("L2")
     chi = surf.chi
@@ -387,7 +383,7 @@ def check_tracei1Xj1X(order):
 
 @registered("trij1Xij1X", 20, 0, "four-operator grouped traces")
 def check_trij1Xij1X(order):
-    surf = standard_surface()
+    surf = SurfaceModel()
     R = surf.ring
     one = surf.one()
     chi = surf.chi
@@ -486,7 +482,7 @@ def check_corollary_h11024_discrepancy(order):
             "closed form (7/2)Z(4) - (1/2)Z(2)^2 + Z(2) differs from the lemma's "
             "own derived sum starting at q^3")
 def check_lemma_f00(order):
-    surf = standard_surface()
+    surf = SurfaceModel()
     got = f_series_reduced(FSeriesSpec(
         ((0, surf.divisor("L1")), (0, surf.divisor("L2"))), surf, order))
     yield "", got, f00_expected(surf, order)
@@ -494,7 +490,7 @@ def check_lemma_f00(order):
 
 @registered("lemma_f101", 40, 2, "index-(1,0) two-point lemma as printed")
 def check_lemma_f101(order):
-    surf = standard_surface()
+    surf = SurfaceModel()
     got = f_series_reduced(FSeriesSpec(
         ((1, surf.one()), (0, surf.divisor("L1"))), surf, order))
     yield "", got, f10_expected(surf, "L1", order)
@@ -503,7 +499,7 @@ def check_lemma_f101(order):
 @registered("lemma_f111", 30, 2,
             "index-(1,1) two-point lemma with components from the defining sums")
 def f111_component_check(order):
-    surf = standard_surface()
+    surf = SurfaceModel()
     got = f_series_reduced(FSeriesSpec(((1, surf.one()), (1, surf.one())),
                                        surf, order))
     yield "", got, f11_expected(surf, order)
@@ -515,7 +511,7 @@ def f111_component_check(order):
             "carry the sign-flipped component values and its L1L2-coefficient "
             "is the typo'd closed form (see lemma_f00)")
 def check_theorem_main(order):
-    surf = standard_surface()
+    surf = SurfaceModel()
     yield "", ch1ch1_reduced(surf, order), ch1ch1_expected(surf, order)
 
 
@@ -523,7 +519,7 @@ def check_theorem_main(order):
             "numerically trivial K: (Z(2) + 5Z(4) - 2Z(2)^2) <L1,L2> + h2 chi, "
             "both quasi-modular of weight <= 6, verifying the conjecture")
 def check_theorem_K_trivial(order):
-    surf = standard_surface(K_trivial=True)
+    surf = SurfaceModel(K_trivial=True)
     got = ch1ch1_reduced(surf, order)
     R = surf.ring
     z2 = z_series((2,), order)

@@ -82,10 +82,6 @@ class QMBasis:
         return len(self.monomials)
 
 
-def qm_basis(weight, order):
-    return QMBasis(weight, order)
-
-
 class QMDecomposition:
     """Exact coefficients of a series in the quasi-modular basis."""
 
@@ -177,7 +173,7 @@ def _decompose(f, slices, weight, order):
         order = f.order
     if f.order < order:
         raise ValueError(f"series order {f.order} below requested order {order}")
-    basis = qm_basis(weight, order)
+    basis = QMBasis(weight, order)
     columns = [s._slices[()] for s in basis.series]
     delta, solved = _eliminate([nums for nums, _ in columns],
                                [nums for nums, _ in slices.values()])

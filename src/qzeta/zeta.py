@@ -5,7 +5,8 @@ brackets [s1,...,sl] (numerator polynomials t*P_{s-1}(t)/(s-1)! built from
 Eulerian polynomials) and the multiple q-zeta values Z(s1,...,sl) (half-power
 numerators t^(s/2), resp. t^((s-1)/2)(t+1) for odd s).  The nested-sum
 evaluator services every displayed multi-sum: free indices, strict chains,
-and an equal-sum constraint between two index groups.  Eulerian and
+and an equal-sum constraint between two index groups, each kept as a table
+of per-level bound forms.  Eulerian and
 Bernoulli numbers come from their recurrences, built per call.
 """
 from fractions import Fraction
@@ -244,110 +245,115 @@ class NestedSumSpec:
       "free"                      -- all indices independent, >= 1
       "chain"                     -- n_0 > n_1 > ... > n_{k-1} >= 1
       ("equal_sum", A, B)         -- indices >= 1 with sum over A == sum over B
+    The spec keeps it as levels, one (index, lower, upper) per level in the
+    order the levels fix indices: LinearForms over the indices fixed earlier,
+    upper None where only the q-order bounds the index.  The termination
+    check and the evaluator both read this table.
     """
 
     def __init__(self, nindices, constraint, terms, scale=ONE):
-        self.nindices = int(nindices)
+        self.nindices = k = int(nindices)
         self.constraint = constraint
         self.terms = tuple(terms)
         self.scale = as_fraction(scale)
-        self._check_termination()
-
-    def _total_exponent(self, term):
-        coeffs = [0] * self.nindices
-        const = 0
-        for f in term.factors:
-            for i, c in enumerate(f.num.coeffs):
-                coeffs[i] += c
-            const += f.num.const
-        return LinearForm(coeffs, const)
-
-    def _check_termination(self):
+        if k < 1:
+            raise ValueError("a nested sum needs at least one index")
+        self.levels = _bound_levels(k, constraint)
         for term in self.terms:
+            for f in term.factors:
+                if {len(f.num.coeffs), len(f.den.coeffs)} | {
+                        len(e) for _, e in (f.poly.terms if f.poly else ())} != {k}:
+                    raise ValueError(f"factor forms and polynomials must read {k} indices")
             total = self._total_exponent(term)
             if any(c < 0 for c in total.coeffs):
                 raise ValueError("total numerator exponent must have nonnegative coefficients")
-            bounded = [False] * self.nindices
-            if self.constraint == "free":
-                order = range(self.nindices)
-                for i in order:
-                    if total.coeffs[i] > 0:
-                        bounded[i] = True
-            elif self.constraint == "chain":
-                seen_bounded = False
-                for i in range(self.nindices):
-                    if total.coeffs[i] > 0 or seen_bounded:
-                        bounded[i] = True
-                        seen_bounded = True
-            else:
-                mode, group_a, group_b = self.constraint
-                if mode != "equal_sum":
-                    raise ValueError(f"unknown constraint {self.constraint!r}")
-                for i in group_a:
-                    if total.coeffs[i] > 0:
-                        bounded[i] = True
-                if all(bounded[i] for i in group_a):
-                    for i in group_b:
-                        bounded[i] = True
-            for i in range(self.nindices):
-                if not bounded[i]:
-                    raise ValueError(
-                        f"nested sum does not terminate: index {i} is unbounded")
+            # bounded by the q-order, or by an upper form over bounded indices
+            bounded = set()
+            for idx, _, upper in self.levels:
+                if total.coeffs[idx] > 0 or upper and set(upper.support()) <= bounded:
+                    bounded.add(idx)
+            if len(bounded) < k:
+                raise ValueError("nested sum does not terminate: "
+                                 f"index {min(set(range(k)) - bounded)} is unbounded")
+
+    def _total_exponent(self, term):
+        nums = [f.num for f in term.factors]
+        return LinearForm([sum(f.coeffs[i] for f in nums) for i in range(self.nindices)],
+                          sum(f.const for f in nums))
+
+
+def _bound_levels(k, constraint):
+    """The levels of a constraint over k indices, each (index, lower, upper).
+
+    A chain index stays below the one before it and leaves room for the ones
+    after it.  An equal-sum B index takes at most the rest R of the A sum
+    less the earlier B indices and 1 per later B index; the last takes R.
+    """
+    def form(const, plus=(), minus=()):
+        return LinearForm([(i in plus) - (i in minus) for i in range(k)], const)
+
+    if constraint == "free":
+        return [(i, form(1), None) for i in range(k)]
+    if constraint == "chain":
+        return [(i, form(k - i), form(-1, (i - 1,)) if i else None) for i in range(k)]
+    if not (isinstance(constraint, tuple) and len(constraint) == 3
+            and constraint[0] == "equal_sum"):
+        raise ValueError(f"unknown constraint {constraint!r}")
+    group_a, group_b = list(constraint[1]), list(constraint[2])
+    if sorted(group_a + group_b) != list(range(k)) or not (group_a and group_b):
+        raise ValueError("equal_sum groups must partition the index set, neither empty")
+    levels = [(i, form(1), None) for i in group_a]
+    for j, i in enumerate(group_b):
+        rest = form(j + 1 - len(group_b), group_a, group_b[:j])
+        levels.append((i, rest if j == len(group_b) - 1 else form(1), rest))
+    return levels
 
 
 def _eval_term(spec, term, order):
     """Numerators (over the returned denominator) of one term, to the given order.
 
-    Levels fix indices left to right, and the level that fixes n pays the
-    shift n times its coefficient in the term's total numerator form (the
-    first level also pays the constant).  subtree(d, budget) is the sum over
-    the indices of levels d.. of those shifts and of the factors completed
-    there, up to degree budget: the order less the shifts paid above.  Its
-    value only depends on what the remaining pole forms, polynomials and
-    constraints read of the fixed values, so the memo is keyed by that and
-    reused when its precision covers the request: a pole that reads i and j
-    only through i + j is keyed by the sum, and equal-sum splittings collapse
-    to one evaluation per shared sum.
+    Levels fix indices in the order of spec.levels, and the level that fixes
+    n pays the shift n times its coefficient in the term's total numerator
+    form (the first level also pays the constant).  Level d runs n from its
+    lower form (at least 1) to its upper form and to the last n whose shift
+    still fits.  subtree(d, budget) is the sum over the indices of levels d..
+    of those shifts and of the factors completed there, up to degree budget:
+    the order less the shifts paid above.  Its value only depends on what the
+    remaining pole forms, bound forms and polynomials read of the fixed
+    values, so the memo is keyed by that and reused when its precision covers
+    the request: a pole that reads i and j only through i + j is keyed by the
+    sum, and equal-sum splittings collapse to one evaluation per shared sum.
     """
     k = spec.nindices
     total = spec._total_exponent(term)
-    mode = spec.constraint
-    if isinstance(mode, tuple):
-        _, group_a, group_b = mode
-        group_a, group_b = list(group_a), list(group_b)
-        level_order = group_a + group_b
-        if sorted(level_order) != list(range(k)):
-            raise ValueError("equal_sum groups must partition the index set")
-    else:
-        level_order = list(range(k))
+    level_order = [idx for idx, _, _ in spec.levels]
 
     # factors become "complete" at the level where their last index is fixed
-    level_of = {idx: d for d, idx in enumerate(level_order)}
     completes = [[] for _ in range(k)]
     for f in term.factors:
         sup = f.support()
-        completes[max(level_of[i] for i in sup) if sup else 0].append(f)
+        completes[max(map(level_order.index, sup)) if sup else 0].append(f)
 
     # what each level's subtree reads of the indices fixed above it: the
-    # fixed part of every pole form completed there or below, the value of
-    # every index polynomial whose indices are all fixed, and the fixed
-    # indices of the other polynomials
+    # fixed part of every bound form at that level or below and of every
+    # pole form completed there or below, the value of every index
+    # polynomial whose indices are all fixed, and the fixed indices of the
+    # other polynomials
     reads = []
     for d in range(k):
         fixed = set(level_order[:d])
-        forms, polys, raw = [], [], set()
-        for f in (f for fs in completes[d:] for f in fs):
-            part = [(i, c) for i, c in enumerate(f.den.coeffs) if c and i in fixed]
-            if part:
-                forms.append(part)
-            if f.poly is None:
-                continue
+        forms = [b for _, lower, upper in spec.levels[d:] for b in (lower, upper) if b]
+        forms += [f.den for fs in completes[d:] for f in fs]
+        parts = dict.fromkeys(tuple((i, c) for i, c in enumerate(form.coeffs)
+                                    if c and i in fixed) for form in forms)
+        polys, raw = [], set()
+        for f in (f for fs in completes[d:] for f in fs if f.poly is not None):
             sup = set(f.poly.support())
             if sup <= fixed:
                 polys.append(f.poly)
             else:
                 raw |= sup & fixed
-        reads.append((forms, polys, sorted(raw)))
+        reads.append(([part for part in parts if part], polys, sorted(raw)))
     # least shift still to pay below level d: each later index is >= 1
     floor = [sum(total.coeffs[i] for i in level_order[d + 1:]) for d in range(k)]
     floor[0] += total.const
@@ -358,48 +364,22 @@ def _eval_term(spec, term, order):
     def subtree(d, budget):
         if d == k:
             return [1] + [0] * budget
-        idx = level_order[d]
-        if isinstance(mode, tuple):
-            # the constraint state at every level, group_a ones too: the
-            # group_b levels below read the group_a values through their sum
-            extra = (sum(values[i] for i in group_a)
-                     - sum(values[level_order[e]] for e in range(len(group_a), d)))
-        elif mode == "chain":
-            extra = values[level_order[d - 1]] if d > 0 else None
-        else:
-            extra = None
         forms, polys, raw = reads[d]
         key = (d, tuple(sum(c * values[i] for i, c in part) for part in forms),
                tuple(p.numerator(values) for p in polys),
-               tuple(values[i] for i in raw), extra)
+               tuple(values[i] for i in raw))
         hit = memo.get(key)
         if hit is not None and len(hit) > budget:
             return hit
 
         acc = [0] * (budget + 1)
+        idx, lower, upper = spec.levels[d]
         c_idx = total.coeffs[idx]
-        base = floor[d]
-        if isinstance(mode, tuple) and idx in group_b:
-            later_b = [i for i in group_b if level_of[i] > d]
-            candidates = range(1, extra - len(later_b) + 1) if later_b else (extra,)
-        else:
-            upper = values[level_order[d - 1]] - 1 if mode == "chain" and d > 0 else None
-            if c_idx > 0:
-                bound = (budget - base) // c_idx
-                if upper is not None:
-                    bound = min(bound, upper)
-            elif upper is None:
-                raise AssertionError("termination check should have rejected this")
-            else:
-                bound = upper
-            # a chain leaves room for the strictly smaller tail
-            candidates = range(k - d if mode == "chain" else 1, bound + 1)
-
-        for n in candidates:
-            if n < 1:
-                continue
-            if base + c_idx * n > budget:
-                break
+        # the termination check leaves every level an upper form or a shift
+        top = [] if upper is None else [upper(values)]
+        if c_idx:
+            top.append((budget - floor[d]) // c_idx)
+        for n in range(max(lower(values), 1), min(top) + 1):
             values[idx] = n
             shift, scalar, poles = c_idx * n + (total.const if d == 0 else 0), 1, []
             for f in completes[d]:

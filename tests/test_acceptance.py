@@ -18,12 +18,12 @@ import pytest
 
 from qzeta.ring import MPolyRing, QSeries, euler_pow, lambert_term
 from qzeta.zeta import bracket, eisenstein, eval_named, z_series
-from qzeta.qmforms import NotInSpan, decompose, decompose_mpoly, qm_basis
-from qzeta.fock import (DecoratedOp, equiv_chern_op, equiv_trace,
+from qzeta.qmforms import NotInSpan, QMBasis, decompose, decompose_mpoly
+from qzeta.fock import (DecoratedOp, SurfaceModel, equiv_chern_op, equiv_trace,
                         fock_trace_bruteforce, gamma_trace)
 from qzeta.pipeline import (FSeriesSpec, ch1ch1_reduced, equiv_ch1ch1,
                             f00_expected, f10_expected, f11_expected,
-                            f_series_reduced, run_checks, standard_surface)
+                            f_series_reduced, run_checks)
 
 F = Fraction
 
@@ -172,7 +172,7 @@ def test_criterion_6_equivariant_pipeline():
 
 def test_criterion_7_surface_pipeline():
     t0 = time.time()
-    surf = standard_surface()
+    surf = SurfaceModel()
 
     f00 = f_series_reduced(FSeriesSpec(
         ((0, surf.divisor("L1")), (0, surf.divisor("L2"))), surf, 25))
@@ -191,7 +191,7 @@ def test_criterion_7_surface_pipeline():
         assert r.passed and r.order == order, r
 
     # exact rational coefficients of the K-trivial series (corrected display)
-    ksurf = standard_surface(K_trivial=True)
+    ksurf = SurfaceModel(K_trivial=True)
     series = ch1ch1_reduced(ksurf, 20)
     slices = decompose_mpoly(series, 6, 20)
     ring = ksurf.ring
@@ -232,7 +232,7 @@ def test_criterion_8_property_suites():
     assert list(euler_pow(-1, 50).coeffs) == [F(c) for c in p]
 
     # decompose linearity and basis-delta recovery
-    basis = qm_basis(6, 30)
+    basis = QMBasis(6, 30)
     for mono, series in zip(basis.monomials, basis.series):
         dec = decompose(series, 6, 30)
         assert dec and dec.coeffs == {mono: F(1)}

@@ -13,9 +13,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qzeta.cli import (BinOp, DOp, EulerPowGen, GGen, Lit, Neg, ParseError,
-                       SumRef, ZGen, BGen, build_arg_parser, eval_text, main,
-                       parse, print_expr)
+from qzeta.cli import (DEFAULT_ORDER, BinOp, DOp, EulerPowGen, GGen, Lit, Neg,
+                       ParseError, SumRef, ZGen, BGen, build_arg_parser, eval_text,
+                       main, parse, print_expr)
 from qzeta.pipeline import CHECKS
 from qzeta.ring import QSeries, euler_pow
 from qzeta.zeta import bracket, z_series
@@ -24,11 +24,11 @@ F = Fraction
 ENV = {**os.environ, "PYTHONPATH": "src"}
 
 
-def run_cli(*args, env=None):
+def run_cli(*args):
     return subprocess.run([sys.executable, "-m", "qzeta.cli", *args],
                           capture_output=True, text=True, cwd=os.path.dirname(
                               os.path.dirname(os.path.abspath(__file__))),
-                          env=env or ENV)
+                          env=ENV)
 
 
 class TestParser:
@@ -408,13 +408,6 @@ class TestFailureModes:
         assert code == 2
         assert err == "error: bad --chi '1.5': expected 'sym' or an integer\n"
 
-    def test_bad_default_order_env_exit_2(self, capsys, monkeypatch):
-        # exit 1 would claim that a check failed
-        monkeypatch.setenv("QZETA_DEFAULT_ORDER", "abc")
-        code, err = self.run_main(capsys, "expand", "Z(2)")
-        assert code == 2
-        assert err == "error: bad QZETA_DEFAULT_ORDER: 'abc'\n"
-
     @pytest.mark.parametrize("argv", [
         ["expand", "B[1]"], ["decompose", "Z(2)"], ["trace", "a[-1,1](1X)"],
         ["verify", "--check", "dz3"]])
@@ -424,12 +417,6 @@ class TestFailureModes:
         code, err = self.run_main(capsys, *argv, "--order", huge)
         assert code == 2
         assert err == f"error: order {huge} is too large\n"
-
-    def test_default_order_env_too_large_exit_2(self, capsys, monkeypatch):
-        monkeypatch.setenv("QZETA_DEFAULT_ORDER", str(sys.maxsize))
-        code, err = self.run_main(capsys, "expand", "Z(2)")
-        assert code == 2
-        assert err == f"error: bad QZETA_DEFAULT_ORDER: '{sys.maxsize}'\n"
 
     def test_crashing_check_is_an_error_and_the_run_goes_on(self, capsys,
                                                             monkeypatch):
@@ -586,11 +573,10 @@ class TestParserReuse:
 
 
 class TestSubprocess:
-    def test_env_default_order(self):
-        env = {**ENV, "QZETA_DEFAULT_ORDER": "4"}
-        res = run_cli("expand", "Z(2)", env=env)
+    def test_default_order(self):
+        res = run_cli("expand", "Z(2)")
         assert res.returncode == 0
-        assert len(res.stdout.strip().splitlines()) == 5
+        assert len(res.stdout.strip().splitlines()) == DEFAULT_ORDER + 1
 
     def test_verify_json(self):
         res = run_cli("verify", "--check", "dz3", "--json")

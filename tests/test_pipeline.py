@@ -12,7 +12,7 @@ from qzeta.fock import (DecoratedOp, SurfaceModel, SurfaceTraceEngine, chern_op,
 from qzeta.pipeline import (CHECKS, FSeriesSpec, ch1ch1_reduced, equiv_ch1ch1,
                             f00_expected, f10_expected, f111_component_check,
                             f_series_reduced, h_component_closed_form,
-                            run_checks, standard_surface)
+                            run_checks)
 
 F = Fraction
 GOLDEN_LOWEST_ORDER = Path(__file__).with_name("golden_lowest_order.json")
@@ -40,24 +40,24 @@ def swap_l1_l2(series):
 
 class TestFSeries:
     def test_empty_spec_is_one(self):
-        surf = standard_surface()
+        surf = SurfaceModel()
         got = f_series_reduced(FSeriesSpec((), surf, 10))
         assert got.agrees_with(QSeries.one(10, surf.ring))
 
     def test_f00_lemma_order_15(self):
-        surf = standard_surface()
+        surf = SurfaceModel()
         spec = FSeriesSpec(((0, surf.divisor("L1")), (0, surf.divisor("L2"))),
                            surf, 15)
         assert f_series_reduced(spec).agrees_with(f00_expected(surf, 15))
 
     def test_f10_lemma_order_15(self):
-        surf = standard_surface()
+        surf = SurfaceModel()
         spec = FSeriesSpec(((1, surf.one()), (0, surf.divisor("L1"))), surf, 15)
         assert f_series_reduced(spec).agrees_with(f10_expected(surf, "L1", 15))
 
     def test_f10_touches_only_k_pairings(self):
         # every symbol monomial is K^2*<K,L1> or <K,L1>
-        surf = standard_surface()
+        surf = SurfaceModel()
         spec = FSeriesSpec(((1, surf.one()), (0, surf.divisor("L1"))), surf, 12)
         series = f_series_reduced(spec)
         ring = surf.ring
@@ -71,7 +71,7 @@ class TestFSeries:
             assert all(e == 0 for i, e in enumerate(exps) if i not in (k2, kl1))
 
     def test_rejects_higher_index(self):
-        surf = standard_surface()
+        surf = SurfaceModel()
         with pytest.raises(ValueError):
             FSeriesSpec(((2, surf.one()),), surf, 5)
 
@@ -79,7 +79,7 @@ class TestFSeries:
         # engine slice == direct Lambert sum == q d/dq of the weight-2 series
         from qzeta.ring import lambert_term
         N = 20
-        surf = standard_surface()
+        surf = SurfaceModel()
         spec = FSeriesSpec(((0, surf.divisor("L1")), (0, surf.divisor("L2"))),
                            surf, N)
         series = f_series_reduced(spec)
@@ -251,7 +251,7 @@ class TestContractionTables:
 
 class TestCh1Ch1:
     def test_symmetric_under_divisor_swap(self):
-        surf = standard_surface()
+        surf = SurfaceModel()
         series = ch1ch1_reduced(surf, 10)
         assert series.agrees_with(swap_l1_l2(series))
 
@@ -267,7 +267,7 @@ class TestCh1Ch1:
             assert c.terms.get(chi_exps, F(0)) == h2.coeffs[n]
 
     def test_k_trivial_l1l2_coefficient(self):
-        surf = standard_surface(K_trivial=True)
+        surf = SurfaceModel(K_trivial=True)
         series = ch1ch1_reduced(surf, 14)
         ring = surf.ring
         idx = ring.symbols.index("L1L2")

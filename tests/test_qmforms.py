@@ -7,11 +7,11 @@ import pytest
 
 from qzeta.ring import QSeries
 from qzeta.zeta import bracket, eval_named, z_series
-from qzeta.qmforms import (SOLVE_MARGIN, NotInSpan, QMDecomposition, _eliminate,
-                           basis_monomials, basis_size, decompose, decompose_mpoly,
-                           monomial_name, monomial_weight, qm_basis)
+from qzeta.qmforms import (SOLVE_MARGIN, NotInSpan, QMBasis, QMDecomposition,
+                           _eliminate, basis_monomials, basis_size, decompose,
+                           decompose_mpoly, monomial_name, monomial_weight)
 from qzeta.fock import SurfaceModel
-from qzeta.pipeline import ch1ch1_reduced, standard_surface
+from qzeta.pipeline import ch1ch1_reduced
 
 F = Fraction
 
@@ -35,7 +35,7 @@ class TestBasis:
 
     def test_order_precondition(self):
         with pytest.raises(ValueError):
-            qm_basis(6, 10)  # needs >= 7 + margin
+            QMBasis(6, 10)  # needs >= 7 + margin
 
     def test_rejects_odd_weight(self):
         with pytest.raises(ValueError):
@@ -53,7 +53,7 @@ class TestBasis:
         # first would never return
         need = basis_size(10 ** 6) + 10
         with pytest.raises(ValueError, match=f"order 20 too small .* need at least {need}$"):
-            qm_basis(10 ** 6, 20)
+            QMBasis(10 ** 6, 20)
 
 
 def reference_power_product(m, order):
@@ -74,7 +74,7 @@ class TestBasisSeries:
     @pytest.mark.parametrize("weight", range(0, 13, 2))
     def test_matches_generator_powers(self, weight):
         for order in range(basis_size(weight) + SOLVE_MARGIN, 61):
-            basis = qm_basis(weight, order)
+            basis = QMBasis(weight, order)
             assert basis.monomials == basis_monomials(weight)
             want = [reference_power_product(m, order) for m in basis.monomials]
             assert basis.series == want, order
@@ -108,7 +108,7 @@ class TestDecompose:
 
     def test_basis_delta_recovery(self):
         N = 30
-        basis = qm_basis(6, N)
+        basis = QMBasis(6, N)
         for mono, series in zip(basis.monomials, basis.series):
             dec = decompose(series, 6, N)
             assert dec.coeffs == {mono: F(1)} or (mono == (0, 0, 0)
@@ -169,7 +169,7 @@ class TestDecomposeMPoly:
     def test_two_point_slices_k_trivial(self):
         # chi-slice and <L1,L2>-slice of the K-trivial two-point series
         N = 20
-        surf = standard_surface(K_trivial=True)
+        surf = SurfaceModel(K_trivial=True)
         series = ch1ch1_reduced(surf, N)
         out = decompose_mpoly(series, 6, N)
         R = surf.ring
@@ -186,7 +186,7 @@ class TestDecomposeMPoly:
     @pytest.mark.parametrize("k_trivial", [False, True])
     def test_one_elimination_equals_per_slice_decompose(self, k_trivial):
         N = 17
-        series = ch1ch1_reduced(standard_surface(K_trivial=k_trivial), N)
+        series = ch1ch1_reduced(SurfaceModel(K_trivial=k_trivial), N)
         out = decompose_mpoly(series, 6, N)
         slices = series.by_monomial()
         assert list(out) == list(slices) and len(out) > 1
@@ -302,7 +302,7 @@ class TestEliminate:
     def test_decompose_matches_fraction_reference(self, weight):
         rng = random.Random(weight)
         order = len(basis_monomials(weight)) + 10 + rng.randint(0, 3)
-        basis = qm_basis(weight, order)
+        basis = QMBasis(weight, order)
         columns = [list(s.coeffs) for s in basis.series]
         extras = [QSeries.zero(order), bracket((1,), order), z_series((2,), order) ** (order - 1)]
         for extra in extras:

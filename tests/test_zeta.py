@@ -214,6 +214,25 @@ class TestNestedSums:
             SumFactor(LinearForm([1, 0]), LinearForm([1, 0])),
             SumFactor(LinearForm([0, 0]), LinearForm([0, 1]))])])
 
+    @pytest.mark.parametrize("constraint, exponent, unbounded", [
+        ("chain", (0, 1, 0), 0), ("chain", (0, 0, 1), 0), ("chain", (1, 0, 0), None),
+        (("equal_sum", (0, 1), (2, 3)), (1, 1, 0, 0), None),
+        (("equal_sum", (0, 1), (2, 3)), (1, 0, 0, 0), 1),
+        (("equal_sum", (2,), (0, 1)), (0, 0, 1), None),
+        (("equal_sum", (2,), (0, 1)), (1, 1, 0), 2),
+        (("equal_sum", (1, 2), (0,)), (0, 0, 1), 0)], ids=str)
+    def test_termination_check_constraint(self, constraint, exponent, unbounded):
+        # an index is bounded by the order through a positive exponent, or by
+        # its upper bound over bounded indices: the index before it in a chain,
+        # the A sum for an equal-sum B index; the lowest unbounded one is named
+        k = len(exponent)
+        terms = [SumTerm([SumFactor(LinearForm(exponent), LinearForm([1] * k))])]
+        if unbounded is None:
+            NestedSumSpec(k, constraint, terms)
+        else:
+            with pytest.raises(ValueError, match=f"index {unbounded} is unbounded"):
+                NestedSumSpec(k, constraint, terms)
+
     def test_equal_sum_constraint_matches_direct_loop(self):
         # sum_{i+j=k+l} q^(i+j) / ((1-q^i)(1-q^j)(1-q^k)(1-q^l)) at low order
         N = 14
@@ -244,11 +263,27 @@ class TestNestedSums:
             eval_nested_sum(NestedSumSpec(2, "free", [SumTerm([
                 SumFactor(lf([1, -1]), lf([1, 0])),
                 SumFactor(lf([0, 2]), lf([0, 1]))])]), 5)
+        # the remaining cases are refused when the spec is built, before any evaluation
         with pytest.raises(ValueError, match="partition"):
-            eval_nested_sum(NestedSumSpec(3, ("equal_sum", (0, 1), (1, 2)), [SumTerm([
+            NestedSumSpec(3, ("equal_sum", (0, 1), (1, 2)), [SumTerm([
                 SumFactor(lf([1, 1, 0]), lf([1, 0, 0])),
                 SumFactor(lf([0, 0, 0]), lf([0, 1, 0])),
-                SumFactor(lf([0, 0, 0]), lf([0, 0, 1]))])]), 5)
+                SumFactor(lf([0, 0, 0]), lf([0, 0, 1]))])])
+        # sum over A == 0 has no solution with indices >= 1: not a free sum
+        with pytest.raises(ValueError, match="partition"):
+            NestedSumSpec(2, ("equal_sum", (0, 1), ()), [SumTerm([
+                SumFactor(lf([1, 1]), lf([1, 0])), SumFactor(lf([0, 0]), lf([0, 1]))])])
+        for constraint in ["cycle", ("equal_sum", (0,)), ("equal_sums", (0,), (1,)),
+                           ["equal_sum", (0,), (1,)]]:
+            with pytest.raises(ValueError, match="unknown constraint"):
+                NestedSumSpec(2, constraint, [SumTerm([SumFactor(lf([1, 1]), lf([1, 1]))])])
+        for nindices in (0, -1):
+            with pytest.raises(ValueError, match="at least one index"):
+                NestedSumSpec(nindices, "free", [])
+        for factor in [SumFactor(lf([1]), lf([1, 0])), SumFactor(lf([1, 1]), lf([1, 0, 0])),
+                       SumFactor(lf([1, 1]), lf([1, 1]), poly=IndexPoly([(1, (1,))]))]:
+            with pytest.raises(ValueError, match="must read 2 indices"):
+                NestedSumSpec(2, "free", [SumTerm([factor])])
 
     def test_unknown_name(self):
         with pytest.raises(KeyError):
